@@ -1,6 +1,7 @@
 """spark-submit entrypoint: run the offline phase (Algorithm 1) and report
 metadata footprint per provider — the paper's §6.1 "Metadata space
-allocation" numbers.
+allocation" numbers. The last line is the federation's row of
+``benchmark_results/metadata_space.md``.
 
 Example:
     spark-submit jobs/build_metadata.py --dataset amazon --sf 0.1
@@ -13,6 +14,11 @@ from pyspark.sql import SparkSession
 
 from jobs.run_query import DATASETS, build
 
+TABLE_HEADER = (
+    "| dataset | sf | clusters | S | metadata_mb | kb_per_cluster |\n"
+    "|---|---|---|---|---|---|"
+)
+
 
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__)
@@ -24,15 +30,20 @@ def main() -> None:
 
     spark = SparkSession.builder.appName("repro-build-metadata").getOrCreate()
     fed = build(spark, args.dataset, args.sf, args.n_providers, args.n_min)
-    total = 0
+    total = clusters = 0
     for p in fed.providers:
         b = p.meta.size_bytes()
         total += b
+        clusters += p.meta.n_clusters
         print(
             f"{p.name}: clusters={p.meta.n_clusters} S={p.S} "
             f"metadata={b / 1024:.1f} KB ({b / 1024 / p.meta.n_clusters:.1f} KB/cluster)"
         )
-    print(f"total metadata: {total / 1024 / 1024:.2f} MB")
+    print(TABLE_HEADER)
+    print(
+        f"| {args.dataset}-lite | {args.sf:g} | {clusters} | {fed.S} "
+        f"| {round(total / 1024**2, 3)} | {round(total / 1024 / clusters, 3)} |"
+    )
     spark.stop()
 
 

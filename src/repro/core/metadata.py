@@ -1,20 +1,27 @@
 """Offline cluster metadata construction (Algorithm 1) as a Spark job.
 
-For each cluster ``C`` and dimension ``d`` the data-level metadata stores the
-step function ``R^{d>=}(v) = |rows of C with d >= v| / S`` at every distinct
-value ``v`` of ``d`` in ``C``; the global metadata stores per-cluster
-``(v_min^d, v_max^d)`` for pruning (Eq 2). Built with a single Spark pass per
-dimension (groupBy + descending window cumulative sum), then collected to the
-driver — the paper stores this as small per-cluster meta files (~tens of KB
-per cluster), so driver-side pandas/numpy lookup is the faithful analogue.
+Every dimension is integer-coded over a small domain ``[0, max_d]``, so the
+metadata of one provider is one dense count matrix per dimension:
+``geq[d][j, v]`` is the number of rows of cluster ``j`` whose value of ``d``
+is ``>= v``, for ``v`` in ``0 .. max_d + 1`` (the last column is 0). It holds
+both things the online phase needs:
+
+* the step function ``R^{d>=}(v) = geq[d][j, v] / S`` (Algorithm 1);
+* the ``[v_min^d, v_max^d]`` envelope used for pruning (Eq 2):
+  ``v_max >= lb  <=>  geq[d][j, lb] > 0`` and
+  ``v_min <= ub  <=>  geq[d][j, ub + 1] < n_rows[j]``.
+
+One Spark job counts rows per (cluster, value) for every dimension; the
+driver scatters the counts and takes a reverse cumulative sum along the
+value axis. The paper stores this as small per-cluster meta files (~tens of
+KB per cluster), so driver-side numpy lookup is the faithful analogue.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 import numpy as np
-import pandas as pd
-from pyspark.sql import DataFrame, Window
+from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 
 
@@ -25,94 +32,81 @@ class ProviderMetadata:
     Attributes:
         S: agreed maximum cluster size (denominator of every R^{d>=}).
         dims: dimensions covered by the metadata.
-        minmax: dim -> DataFrame indexed by cluster_id with vmin/vmax cols.
-        rgeq: (cluster_id, dim) -> (values ascending, r_geq aligned) arrays.
-        n_rows: cluster_id -> actual row count of the cluster.
+        cluster_ids: ids of the provider's clusters, ascending; row ``j`` of
+            every count matrix belongs to ``cluster_ids[j]``.
+        geq: dim -> int32 matrix of shape ``(n_clusters, max_d + 2)`` whose
+            entry ``[j, v]`` counts the rows of cluster j with dim >= v.
     """
 
     S: int
     dims: list[str]
-    minmax: dict[str, pd.DataFrame]
-    rgeq: dict[tuple[int, str], tuple[np.ndarray, np.ndarray]]
-    n_rows: dict[int, int]
-
-    @property
-    def cluster_ids(self) -> np.ndarray:
-        return np.array(sorted(self.n_rows), dtype="int64")
+    cluster_ids: np.ndarray
+    geq: dict[str, np.ndarray]
 
     @property
     def n_clusters(self) -> int:
-        return len(self.n_rows)
+        return len(self.cluster_ids)
 
-    def r_geq(self, cluster_id: int, dim: str, x: float) -> float:
-        """R^{d>=}(x): proportion of the cluster's rows with dim value >= x.
+    @property
+    def n_rows(self) -> np.ndarray:
+        """Row count of each cluster, aligned with ``cluster_ids``."""
+        return self.geq[self.dims[0]][:, 0]
 
-        The stored step function has a point at each distinct value; for an
-        arbitrary x, R^{d>=}(x) equals the stored value at the smallest
-        distinct value >= x (0 beyond the maximum).
-        """
-        values, r = self.rgeq[(int(cluster_id), dim)]
-        idx = int(np.searchsorted(values, x, side="left"))
-        return 0.0 if idx >= len(values) else float(r[idx])
+    def geq_at(self, dim: str, v: int) -> np.ndarray:
+        """Column ``v`` of ``geq[dim]``: per cluster, the rows with dim >= v.
+
+        ``v`` is clipped to ``[0, max_d + 1]``: below the domain every row
+        counts, beyond it none does."""
+        try:
+            m = self.geq[dim]
+        except KeyError:
+            raise ValueError(
+                f"dimension {dim!r} is not covered by the metadata (dims: {self.dims})"
+            ) from None
+        return m[:, min(max(int(v), 0), m.shape[1] - 1)]
 
     def size_bytes(self) -> int:
-        """Approximate serialized metadata footprint (paper §6.1 reports it)."""
-        total = 0
-        for values, r in self.rgeq.values():
-            total += values.nbytes + r.nbytes
-        for mm in self.minmax.values():
-            total += mm.memory_usage(index=True).sum()
-        return int(total)
+        """Metadata footprint: the count matrices (paper §6.1 reports it)."""
+        return sum(m.nbytes for m in self.geq.values())
 
 
 def build_metadata(df: DataFrame, *, dims: list[str], S: int) -> ProviderMetadata:
     """Run Algorithm 1 over a provider table (must carry ``cluster_id``).
 
-    One Spark aggregation computes distinct-value counts per (cluster, dim);
-    a descending window cumulative sum turns them into ``R^{d>=}`` without a
-    second scan. All dimension passes are unioned into a single job.
+    The per-dimension ``groupBy(cluster_id, value).count()`` aggregations
+    are unioned into a single Spark job. Dimension values must be
+    non-negative integers, since the dense layout indexes by value.
     """
     if S <= 0:
         raise ValueError("cluster size S must be positive")
     stacked = None
-    for d in dims:
+    for i, d in enumerate(dims):
         part = (
             df.groupBy("cluster_id", F.col(d).alias("value"))
-            .agg(F.count(F.lit(1)).alias("cnt"))
-            .withColumn("dim", F.lit(d))
+            .count()
+            .withColumn("dim", F.lit(i))
         )
         stacked = part if stacked is None else stacked.unionByName(part)
-    w = (
-        Window.partitionBy("cluster_id", "dim")
-        .orderBy(F.desc("value"))
-        .rowsBetween(Window.unboundedPreceding, Window.currentRow)
-    )
-    vals = (
-        stacked.withColumn("cnt_geq", F.sum("cnt").over(w))
-        .withColumn("r_geq", F.col("cnt_geq") / F.lit(float(S)))
-        .select("cluster_id", "dim", "value", "r_geq")
-        .toPandas()
-    )
+    counts = stacked.toPandas()
 
-    agg_exprs = [F.count(F.lit(1)).alias("n_rows")]
-    for d in dims:
-        agg_exprs += [F.min(d).alias(f"{d}__min"), F.max(d).alias(f"{d}__max")]
-    glob = df.groupBy("cluster_id").agg(*agg_exprs).toPandas()
-    glob = glob.set_index("cluster_id").sort_index()
-
-    rgeq: dict[tuple[int, str], tuple[np.ndarray, np.ndarray]] = {}
-    for (cid, dim), grp in vals.groupby(["cluster_id", "dim"], sort=False):
-        grp = grp.sort_values("value")
-        rgeq[(int(cid), str(dim))] = (
-            grp["value"].to_numpy(dtype="float64"),
-            grp["r_geq"].to_numpy(dtype="float64"),
-        )
-
-    minmax = {
-        d: glob[[f"{d}__min", f"{d}__max"]].rename(
-            columns={f"{d}__min": "vmin", f"{d}__max": "vmax"}
-        )
-        for d in dims
-    }
-    n_rows = {int(c): int(n) for c, n in glob["n_rows"].items()}
-    return ProviderMetadata(S=int(S), dims=list(dims), minmax=minmax, rgeq=rgeq, n_rows=n_rows)
+    cluster = counts["cluster_id"].to_numpy(dtype="int64")
+    cluster_ids = np.unique(cluster)
+    rows = np.searchsorted(cluster_ids, cluster)
+    dim_of = counts["dim"].to_numpy()
+    value = counts["value"].to_numpy(dtype="float64")
+    cnt = counts["count"].to_numpy(dtype="int64")
+    geq: dict[str, np.ndarray] = {}
+    for i, d in enumerate(dims):
+        sel = dim_of == i
+        v = value[sel]
+        bad = ~(v >= 0) | (v != np.floor(v))  # also catches NaN (null values)
+        if bad.any():
+            raise ValueError(
+                f"dimension {d!r} has value {v[bad][0]!r}; the metadata needs "
+                "non-negative integer codes"
+            )
+        v = v.astype("int64")
+        hist = np.zeros((len(cluster_ids), int(v.max(initial=-1)) + 2), dtype="int32")
+        hist[rows[sel], v] = cnt[sel]
+        geq[d] = np.ascontiguousarray(hist[:, ::-1].cumsum(axis=1, dtype="int32")[:, ::-1])
+    return ProviderMetadata(S=int(S), dims=list(dims), cluster_ids=cluster_ids, geq=geq)

@@ -3,7 +3,7 @@
 Given a query Q and a provider's offline metadata, this module computes:
 
 * ``C^Q`` — clusters whose per-dimension [vmin, vmax] envelopes intersect
-  every query range (Eq 2), via vectorized pandas interval tests;
+  every query range (Eq 2), read off two columns of each count matrix;
 * ``R_j`` — the approximate proportion of rows of cluster j matching Q,
   ``R = prod_d (R^{d>=}(lb) - R^{d>=}(ub+1))`` under the paper's dimension-
   independence assumption (the paper writes R^{d>=}(u_b); we query the step
@@ -31,16 +31,14 @@ from repro.core.query import RangeQuery
 
 
 def clusters_for_query(meta: ProviderMetadata, query: RangeQuery) -> np.ndarray:
-    """Eq 2 envelope test: ids of clusters overlapping every range, sorted."""
-    mask = None
+    """Eq 2 envelope test: ids of clusters overlapping every range, sorted.
+
+    A cluster overlaps [lb, ub] on d when it has a row with d >= lb
+    (v_max >= lb) and a row with d < ub + 1 (v_min <= ub)."""
+    mask = np.ones(meta.n_clusters, dtype=bool)
     for d, (lb, ub) in query.ranges.items():
-        mm = meta.minmax[d]
-        m = (mm["vmin"].to_numpy() <= ub) & (mm["vmax"].to_numpy() >= lb)
-        mask = m if mask is None else (mask & m)
-    ids = meta.minmax[next(iter(meta.minmax))].index.to_numpy()
-    if mask is None:  # no ranges: every cluster matches
-        mask = np.ones(len(ids), dtype=bool)
-    return np.sort(ids[mask]).astype("int64")
+        mask &= (meta.geq_at(d, lb) > 0) & (meta.geq_at(d, ub + 1) < meta.n_rows)
+    return meta.cluster_ids[mask]
 
 
 def r_floor(meta: ProviderMetadata, query: RangeQuery) -> float:
@@ -52,14 +50,12 @@ def raw_proportions(
     meta: ProviderMetadata, query: RangeQuery, cluster_ids: np.ndarray
 ) -> np.ndarray:
     """Approximate R for given clusters — no membership threshold applied."""
-    out = np.empty(len(cluster_ids), dtype="float64")
-    for i, cid in enumerate(cluster_ids):
-        r = 1.0
-        for d, (lb, ub) in query.ranges.items():
-            rd = meta.r_geq(cid, d, lb) - meta.r_geq(cid, d, ub + 1)
-            r *= max(rd, 0.0)
-        out[i] = r
-    return out
+    rows = np.searchsorted(meta.cluster_ids, cluster_ids)
+    r = np.ones(len(cluster_ids), dtype="float64")
+    for d, (lb, ub) in query.ranges.items():
+        rd = meta.geq_at(d, lb)[rows] / meta.S - meta.geq_at(d, ub + 1)[rows] / meta.S
+        r *= np.maximum(rd, 0.0)
+    return r
 
 
 def proportions(
@@ -72,7 +68,7 @@ def proportions(
     """C^Q with approximated proportions, thresholded at ``min_r`` (1/S).
 
     Returns ``(cluster_ids, R)`` aligned arrays (possibly empty). Metadata
-    lookups are O(log #distinct) per (cluster, dim) — no data scan, which
+    lookups are two column reads per query dimension — no data scan, which
     is the point of §5.2.
     """
     if cluster_ids is None:

@@ -8,6 +8,7 @@ aggregation for execution and to DuckDB SQL for the correctness oracle.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from numbers import Integral
 
 from pyspark.sql import Column, DataFrame
 from pyspark.sql import functions as F
@@ -34,6 +35,8 @@ class RangeQuery:
         if self.agg not in _AGGS:
             raise ValueError(f"agg must be one of {_AGGS}, got {self.agg!r}")
         for d, (lb, ub) in self.ranges.items():
+            if not (isinstance(lb, Integral) and isinstance(ub, Integral)):
+                raise ValueError(f"bounds on {d} must be integers, got ({lb!r}, {ub!r})")
             if lb > ub:
                 raise ValueError(f"empty range on {d}: [{lb}, {ub}]")
 

@@ -96,6 +96,8 @@ class DataProvider:
 
     # -- step 1: identify C^Q and approximate proportions from metadata ----
     def prepare(self, query: RangeQuery) -> QueryContext:
+        """C^Q and its proportions; a ValueError names any query dimension
+        the metadata does not cover."""
         t0 = time.perf_counter()
         ids = clusters_for_query(self.meta, query)
         ids, r = proportions(self.meta, query, ids)
@@ -157,12 +159,9 @@ class DataProvider:
         q_by_cluster = self.evaluator.per_cluster(ctx.query, sampled)
         eval_seconds = time.perf_counter() - t0
 
-        p_by_cluster = dict(zip(ctx.cluster_ids.tolist(), p.tolist()))
+        idx = np.searchsorted(ctx.cluster_ids, sampled)
         q_draws = np.array([q_by_cluster.get(int(c), 0.0) for c in sampled])
-        p_draws = np.array([p_by_cluster[int(c)] for c in sampled])
-        r_draws = np.array(
-            [ctx.r[np.searchsorted(ctx.cluster_ids, int(c))] for c in sampled]
-        )
+        p_draws, r_draws = p[idx], ctx.r[idx]
         estimate = hansen_hurwitz(q_draws, p_draws)
 
         n_dims = max(1, len(ctx.query.ranges))

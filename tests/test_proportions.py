@@ -3,6 +3,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.metadata import build_metadata
 from repro.core.proportions import (
@@ -12,10 +14,21 @@ from repro.core.proportions import (
     sampling_probabilities,
 )
 from repro.core.query import COUNT, RangeQuery
-from repro.synth_data import adult_tensor, assign_clusters
+from repro.synth_data import ADULT_DIMS, adult_tensor, assign_clusters
 
 DIMS = ["age", "education", "hours"]
 S = 80
+
+
+@st.composite
+def range_queries(draw):
+    """Queries over 1-3 of DIMS, with bounds reaching past both domain ends."""
+    dims = draw(st.lists(st.sampled_from(DIMS), min_size=1, max_size=3, unique=True))
+    ranges = {}
+    for d in dims:
+        lb, ub = sorted(draw(st.integers(-3, ADULT_DIMS[d] + 3)) for _ in range(2))
+        ranges[d] = (lb, ub)
+    return RangeQuery(COUNT, ranges)
 
 
 @pytest.fixture(scope="module")
@@ -73,6 +86,29 @@ class TestClustersForQuery:
         _, meta = setup
         ids = clusters_for_query(meta, RangeQuery(COUNT, {"age": (0, 73)}))
         assert (np.diff(ids) > 0).all()
+
+
+class TestAgainstBruteForce:
+    @given(q=range_queries())
+    @settings(max_examples=150, deadline=None)
+    def test_random_queries(self, setup, q):
+        """C^Q is the clusters whose per-dimension [min, max] overlaps every
+        range, and R is the product of the per-dimension fractions
+        |rows >= lb|/S - |rows >= ub+1|/S, bit for bit."""
+        pdf, meta = setup
+        envelope, expect_r = [], []
+        for cid, grp in pdf.groupby("cluster_id"):
+            cols = {d: grp[d].to_numpy() for d in q.ranges}
+            if all(cols[d].min() <= ub and cols[d].max() >= lb for d, (lb, ub) in q.ranges.items()):
+                envelope.append(int(cid))
+                r = 1.0
+                for d, (lb, ub) in q.ranges.items():
+                    r *= max((cols[d] >= lb).sum() / S - (cols[d] >= ub + 1).sum() / S, 0.0)
+                expect_r.append(r)
+        np.testing.assert_array_equal(clusters_for_query(meta, q), envelope)
+        ids, r = proportions(meta, q, min_r=0.0)
+        np.testing.assert_array_equal(ids, envelope)
+        np.testing.assert_array_equal(r, expect_r)
 
 
 class TestProportions:

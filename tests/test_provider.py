@@ -32,6 +32,11 @@ class TestPrepare:
         ctx = p.prepare(RangeQuery(COUNT, {"age": (500, 600)}))
         assert ctx.n_q == 0 and ctx.avg_r == 0.0
 
+    def test_unknown_dimension_named(self, adult_fed):
+        p = adult_fed.providers[0]
+        with pytest.raises(ValueError, match="'salary'"):
+            p.prepare(RangeQuery(COUNT, {"age": (5, 60), "salary": (0, 3)}))
+
 
 class TestSummarize:
     def test_noise_centered_on_truth(self, adult_fed):

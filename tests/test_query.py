@@ -1,6 +1,7 @@
 """Tests for the range-query model, oracle-checked against DuckDB."""
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.core.query import COUNT, RESULT_COL, SUM, RangeQuery
@@ -15,6 +16,16 @@ class TestValidation:
     def test_empty_range_rejected(self):
         with pytest.raises(ValueError, match="empty range"):
             RangeQuery(COUNT, {"age": (10, 5)})
+
+    @pytest.mark.parametrize("bounds", [(17.5, 30), (0, 10.0), ("1", 5)])
+    def test_non_integer_bounds_rejected(self, bounds):
+        """Spark and the metadata must see the same integer bounds."""
+        with pytest.raises(ValueError, match="must be integers"):
+            RangeQuery(COUNT, {"age": bounds})
+
+    def test_numpy_integer_bounds_accepted(self):
+        q = RangeQuery(COUNT, {"age": (np.int64(3), np.int32(7))})
+        assert q.where_sql() == "(age BETWEEN 3 AND 7)"
 
     def test_dims_order_stable(self):
         q = RangeQuery(COUNT, {"b": (0, 1), "a": (0, 1)})
