@@ -8,31 +8,15 @@ Example:
 from __future__ import annotations
 
 import argparse
+import tempfile
+from dataclasses import replace
 
 import numpy as np
 from pyspark.sql import SparkSession
 
 from repro.baselines.exact import exact_federated
 from repro.core.query import RangeQuery
-from repro.federation.builder import build_federation
-from repro.synth_data import ADULT_DIMS, AMAZON_DIMS, adult_tensor, amazon_tensor
-
-DATASETS = {
-    "adult": (adult_tensor, ADULT_DIMS, 0.01),
-    "amazon": (amazon_tensor, AMAZON_DIMS, 0.005),
-}
-
-
-def build(spark: SparkSession, dataset: str, sf: float, n_providers: int, n_min: int):
-    gen, dims, cluster_frac = DATASETS[dataset]
-    return build_federation(
-        spark,
-        gen(sf=sf),
-        dims=list(dims),
-        n_providers=n_providers,
-        cluster_frac=cluster_frac,
-        n_min=n_min,
-    )
+from repro.experiments import FEDERATIONS, build
 
 
 def parse_range(spec: str) -> tuple[str, tuple[int, int]]:
@@ -42,7 +26,7 @@ def parse_range(spec: str) -> tuple[str, tuple[int, int]]:
 
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--dataset", choices=DATASETS, default="adult")
+    ap.add_argument("--dataset", choices=["adult", "amazon"], default="adult")
     ap.add_argument("--sf", type=float, default=0.01)
     ap.add_argument("--agg", choices=["COUNT", "SUM"], default="COUNT")
     ap.add_argument("--range", action="append", default=[], help="dim:lb:ub")
@@ -55,19 +39,23 @@ def main() -> None:
     ap.add_argument("--seed", type=int, default=0)
     args = ap.parse_args()
 
-    spark = SparkSession.builder.appName("repro-run-query").getOrCreate()
-    fed = build(spark, args.dataset, args.sf, args.n_providers, args.n_min)
+    spec = replace(
+        FEDERATIONS[args.dataset], sf=args.sf, n_providers=args.n_providers, n_min=args.n_min
+    )
     query = RangeQuery(args.agg, dict(parse_range(r) for r in args.range))
 
-    exact = exact_federated(fed.aggregator, query)
-    ans = fed.aggregator.answer(
-        query,
-        sampling_rate=args.sr,
-        eps=args.eps,
-        delta=args.delta,
-        rng=np.random.default_rng(args.seed),
-        use_smc=args.smc,
-    )
+    spark = SparkSession.builder.appName("repro-run-query").getOrCreate()
+    with tempfile.TemporaryDirectory(prefix="repro_store_") as store_root:
+        fed = build(spark, spec, store_root)
+        exact = exact_federated(fed.aggregator, query)
+        ans = fed.aggregator.answer(
+            query,
+            sampling_rate=args.sr,
+            eps=args.eps,
+            delta=args.delta,
+            rng=np.random.default_rng(args.seed),
+            use_smc=args.smc,
+        )
     rel = abs(ans.value - exact.value) / max(abs(exact.value), 1.0)
     print(f"query            : {query.agg} WHERE {query.where_sql()}")
     print(f"exact answer     : {exact.value:.1f}  ({exact.seconds:.3f}s)")

@@ -1,5 +1,4 @@
-"""Tests for the baselines: exact federation, local/global sampling,
-Bernoulli row sampling."""
+"""Tests for the baselines: exact federation, local/global sampling."""
 from __future__ import annotations
 
 import duckdb
@@ -11,7 +10,6 @@ from repro.baselines.local_sampling import (
     global_sampling_estimate,
     local_sampling_estimate,
 )
-from repro.baselines.row_sampling import bernoulli_estimate
 from repro.core.query import COUNT, RangeQuery
 
 Q = RangeQuery(COUNT, {"age": (0, 25)})  # value-skewed across providers
@@ -87,22 +85,3 @@ class TestSamplingBaselines:
                 adult_fed_pandas.providers, Q, sampling_rate=1.5, rng=rng
             )
 
-
-class TestBernoulliBaseline:
-    def test_unbiased(self, adult_fed):
-        truth = oracle_value(adult_fed.tensor, Q)
-        vals = [
-            bernoulli_estimate(
-                adult_fed.aggregator, Q, sampling_rate=0.5, seed=s
-            ).value
-            for s in range(8)
-        ]
-        assert np.mean(vals) == pytest.approx(truth, rel=0.15)
-
-    def test_requires_spark_backend(self, adult_fed_pandas):
-        with pytest.raises(TypeError):
-            bernoulli_estimate(adult_fed_pandas.aggregator, Q, sampling_rate=0.5)
-
-    def test_invalid_rate(self, adult_fed):
-        with pytest.raises(ValueError):
-            bernoulli_estimate(adult_fed.aggregator, Q, sampling_rate=0.0)

@@ -1,24 +1,39 @@
-"""Tests for the §6 experiment drivers (structure + trend sanity).
+"""Tests for the §6 experiment drivers (structure + trend sanity) and the
+experiment registry.
 
 Runs at unit scale on the pandas-evaluator federation so the whole module
-stays fast; the benchmark suite runs the same drivers at SF=0.1.
+stays fast; the benchmark suite runs the registry at bench scale.
 """
 from __future__ import annotations
 
-import numpy as np
+import ast
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import repro.experiments
+from benchmarks.bench_experiments import CHECKS
 from repro.attack.nbc import AttackSpec
 from repro.core.query import COUNT, SUM
 from repro.experiments import (
+    ARTIFACTS,
+    FEDERATIONS,
     attack_table,
     dimension_sweep,
     epsilon_sweep,
+    render,
+    run,
     sampling_rate_sweep,
     smc_comparison,
     smc_cost_simulation,
 )
 from repro.synth_data import ADULT_DIMS
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 class TestDimensionSweep:
@@ -125,3 +140,55 @@ class TestAttackTable:
         modes = {r["mode"] for r in rows if r["agg"]}
         assert modes == {"sequential", "advanced", "coalition"}
         assert len([r for r in rows if r["agg"]]) == 6  # 3 modes × 2 aggs
+
+
+class TestRegistry:
+    def test_experiments_md_blocks_match_registry(self):
+        text = (ROOT / "EXPERIMENTS.md").read_text()
+        begins = re.findall(r"<!-- BEGIN (\w+) -->", text)
+        ends = re.findall(r"<!-- END (\w+) -->", text)
+        assert sorted(begins) == sorted(ends) == sorted(ARTIFACTS)
+
+    def test_benchmark_checks_cover_registry(self):
+        assert CHECKS.keys() == ARTIFACTS.keys()
+
+    def test_names_unique(self):
+        """A repeated key in the registry's dict literals would silently drop
+        an entry, so read the literals' keys from the source."""
+        tree = ast.parse(Path(repro.experiments.__file__).read_text())
+        registries = {
+            node.target.id: [k.value for k in node.value.keys]
+            for node in ast.walk(tree)
+            if isinstance(node, ast.AnnAssign)
+            and node.target.id in ("FEDERATIONS", "ARTIFACTS")
+        }
+        assert registries.keys() == {"FEDERATIONS", "ARTIFACTS"}
+        for keys in registries.values():
+            assert len(keys) == len(set(keys))
+        results = [a.results for a in ARTIFACTS.values()]
+        assert len(results) == len(set(results))
+
+    def test_calls_use_registered_federations(self):
+        for artifact in ARTIFACTS.values():
+            assert set(artifact.federations) <= FEDERATIONS.keys()
+
+    def test_run_renders_registered_columns(self, adult_fed_pandas):
+        """fig1's registered call, on the unit-scale federation."""
+        artifact = ARTIFACTS["fig1"]
+        tables = run(artifact, {"adult": adult_fed_pandas})
+        assert [len(rows) for rows in tables] == [5]
+        header = render(artifact, tables).splitlines()[0]
+        assert header == "| " + " | ".join(artifact.tables[0].columns) + " |"
+
+    def test_run_experiment_rejects_unknown_name(self):
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, str(ROOT / "jobs" / "run_experiment.py"), "fig1", "fig9"],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode != 0
+        assert "fig9" in proc.stderr
+        for name in ARTIFACTS:
+            assert name in proc.stderr
+        assert proc.stderr.startswith("usage:")  # rejected while parsing, before Spark

@@ -1,52 +1,38 @@
-"""Inject benchmark_results/*.md tables into EXPERIMENTS.md placeholders.
+"""Copy each registered artifact's benchmark_results/<file>.md into its
+``<!-- BEGIN name --> ... <!-- END name -->`` block of EXPERIMENTS.md.
 
-Run after `pytest benchmarks/ --benchmark-only`:
+Run after `pytest benchmarks/ --benchmark-only` or `jobs/run_experiment.py`,
+with the `repro` package importable (installed, or `src` on PYTHONPATH):
     python tools/assemble_experiments.py
 """
 from __future__ import annotations
 
 import os
 import re
+import sys
 
-ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-RESULTS = os.path.join(ROOT, "benchmark_results")
-TARGET = os.path.join(ROOT, "EXPERIMENTS.md")
+from repro.experiments import ARTIFACTS
+from repro.reporting import RESULTS_DIR
 
-PLACEHOLDERS = {
-    "TABLE1_RESULTS": "table1_attack.md",
-    "FIG1_RESULTS": "fig1_smc_cost.md",
-    "FIG4_RESULTS": "fig4_dimensions.md",
-    "FIG5_RESULTS": "fig5_sampling_rate.md",
-    "FIG6_RESULTS": "fig6_epsilon.md",
-    "FIG7_RESULTS": "fig7_speedup.md",
-    "FIG8_RESULTS": "fig8_smc_vs_dp.md",
-    "METADATA_RESULTS": "metadata_space.md",
-}
+TARGET = os.path.join(os.path.dirname(RESULTS_DIR), "EXPERIMENTS.md")
 
 
 def main() -> None:
-    text = open(TARGET).read()
-    for key, fname in PLACEHOLDERS.items():
-        path = os.path.join(RESULTS, fname)
-        marker = f"<!-- {key} -->"
-        if marker not in text:
-            # already substituted on a previous run: replace the old block
-            # between the BEGIN/END comments instead
-            begin, end = f"<!-- BEGIN {key} -->", f"<!-- END {key} -->"
-            if begin in text and os.path.exists(path):
-                block = f"{begin}\n{open(path).read().strip()}\n{end}"
-                text = re.sub(
-                    re.escape(begin) + r".*?" + re.escape(end), block, text, flags=re.S
-                )
-            continue
+    with open(TARGET) as f:
+        text = f.read()
+    for name, artifact in ARTIFACTS.items():
+        path = os.path.join(RESULTS_DIR, f"{artifact.results}.md")
         if not os.path.exists(path):
-            print(f"[skip] {fname} not found for {key}")
-            continue
-        body = open(path).read().strip()
-        block = f"<!-- BEGIN {key} -->\n{body}\n<!-- END {key} -->"
-        text = text.replace(marker, block)
-        print(f"[ok] {key} <- {fname}")
-    open(TARGET, "w").write(text)
+            sys.exit(f"{name}: results file {path} not found")
+        begin, end = f"<!-- BEGIN {name} -->", f"<!-- END {name} -->"
+        block = re.compile(re.escape(begin) + r".*?" + re.escape(end), flags=re.S)
+        if len(block.findall(text)) != 1:
+            sys.exit(f"{name}: EXPERIMENTS.md needs exactly one {begin} ... {end} block")
+        with open(path) as f:
+            body = f.read().strip()
+        text = block.sub(lambda _: f"{begin}\n{body}\n{end}", text)
+    with open(TARGET, "w") as f:
+        f.write(text)
 
 
 if __name__ == "__main__":
