@@ -117,14 +117,11 @@ def train_nbc(spec: AttackSpec, answer: AnswerFn, *, agg: str = COUNT) -> Traine
     return TrainedNBC(spec=spec, log_prior=log_prior, log_lift=log_lift)
 
 
-def exact_answer_fn(tensor: pd.DataFrame, agg: str = COUNT) -> AnswerFn:
+def exact_answer_fn(tensor: pd.DataFrame) -> AnswerFn:
     """Non-private oracle answers — the sanity ceiling for attack accuracy."""
 
     def fn(q: RangeQuery) -> float:
-        mask = np.ones(len(tensor), dtype=bool)
-        for d, (lb, ub) in q.ranges.items():
-            col = tensor[d].to_numpy()
-            mask &= (col >= lb) & (col <= ub)
+        mask = q.mask(tensor)
         if q.agg == COUNT:
             return float(mask.sum())
         return float(tensor.loc[mask, "measure"].sum())

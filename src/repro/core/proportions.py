@@ -18,9 +18,13 @@ R (and hence p) vanishingly small. Sampling such a cluster is useless for
 the estimate but catastrophic for the smooth sensitivity (the scenario-4
 LS slope is 1/p, Appendix B.2). Eq 2's stated intent is the clusters "that
 actually contain rows matching Q", so ``proportions`` keeps only clusters
-whose approximated R is at least ``min_r`` = 1/S — one expected row. A
+whose approximated R is at least 1/S — one expected row. A
 cluster below that contributes < 1 row to the answer and is treated as not
 covering Q.
+
+:meth:`repro.federation.provider.DataProvider.prepare` is the one caller:
+it takes the envelope, applies the threshold and decides the query path on
+the result, and every other consumer reads that decision.
 """
 from __future__ import annotations
 
@@ -41,11 +45,6 @@ def clusters_for_query(meta: ProviderMetadata, query: RangeQuery) -> np.ndarray:
     return meta.cluster_ids[mask]
 
 
-def r_floor(meta: ProviderMetadata, query: RangeQuery) -> float:
-    """Smallest conceivable nonzero proportion, 1/S^|D^Q| (Appendix A)."""
-    return float(meta.S) ** (-len(query.ranges)) if query.ranges else 1.0
-
-
 def raw_proportions(
     meta: ProviderMetadata, query: RangeQuery, cluster_ids: np.ndarray
 ) -> np.ndarray:
@@ -59,24 +58,18 @@ def raw_proportions(
 
 
 def proportions(
-    meta: ProviderMetadata,
-    query: RangeQuery,
-    cluster_ids: np.ndarray | None = None,
-    *,
-    min_r: float | None = None,
+    meta: ProviderMetadata, query: RangeQuery, cluster_ids: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """C^Q with approximated proportions, thresholded at ``min_r`` (1/S).
+    """C^Q: the envelope clusters ``cluster_ids`` whose approximated R is at
+    least 1/S, with those proportions.
 
     Returns ``(cluster_ids, R)`` aligned arrays (possibly empty). Metadata
     lookups are two column reads per query dimension — no data scan, which
-    is the point of §5.2.
+    is the point of §5.2. A query with no ranges has R = 1 everywhere, so
+    it keeps every cluster.
     """
-    if cluster_ids is None:
-        cluster_ids = clusters_for_query(meta, query)
-    if min_r is None:
-        min_r = 1.0 / meta.S
     r = raw_proportions(meta, query, cluster_ids)
-    keep = r >= min_r if query.ranges else np.ones(len(r), dtype=bool)
+    keep = r >= 1.0 / meta.S
     return cluster_ids[keep], r[keep]
 
 

@@ -3,13 +3,16 @@
 A :class:`RangeQuery` is ``SELECT <agg> FROM T WHERE <conjunctive ranges>``
 with ``agg`` either ``COUNT(*)`` (tensor rows) or ``SUM(measure)``
 (aggregated individuals). It renders to a Spark ``Column`` predicate /
-aggregation for execution and to DuckDB SQL for the correctness oracle.
+aggregation for execution, to a row mask over pandas frames and to DuckDB
+SQL for the correctness oracle.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from numbers import Integral
 
+import numpy as np
+import pandas as pd
 from pyspark.sql import Column, DataFrame
 from pyspark.sql import functions as F
 
@@ -51,6 +54,14 @@ class RangeQuery:
         for d, (lb, ub) in self.ranges.items():
             pred = pred & F.col(d).between(int(lb), int(ub))
         return pred
+
+    def mask(self, pdf: pd.DataFrame) -> np.ndarray:
+        """Boolean row mask of the WHERE clause over a pandas frame."""
+        mask = np.ones(len(pdf), dtype=bool)
+        for d, (lb, ub) in self.ranges.items():
+            col = pdf[d].to_numpy()
+            mask &= (col >= lb) & (col <= ub)
+        return mask
 
     def agg_column(self) -> Column:
         """Spark aggregation expression, aliased to :data:`RESULT_COL`."""

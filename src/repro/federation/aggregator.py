@@ -86,10 +86,10 @@ class Aggregator:
             sampling_rate,
         )
 
-        # steps 4–6: local estimation (exact path when N^Q < N^min)
+        # steps 4–6: local estimation on the path each provider's step 1 chose
         locals_: list[LocalResult] = []
         for p, ctx, s_i in zip(self.providers, contexts, alloc):
-            if ctx.n_q < p.n_min:
+            if ctx.exact_path:
                 locals_.append(p.exact_dp(query))
             else:
                 locals_.append(

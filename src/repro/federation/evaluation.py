@@ -71,20 +71,13 @@ class PandasEvaluator:
             raise ValueError("provider frame must carry cluster_id")
         self.pdf = pdf
 
-    def _mask(self, query: RangeQuery) -> np.ndarray:
-        mask = np.ones(len(self.pdf), dtype=bool)
-        for d, (lb, ub) in query.ranges.items():
-            col = self.pdf[d].to_numpy()
-            mask &= (col >= lb) & (col <= ub)
-        return mask
-
     def total(self, query: RangeQuery) -> float:
-        sub = self.pdf[self._mask(query)]
+        sub = self.pdf[query.mask(self.pdf)]
         return float(len(sub)) if query.agg == COUNT else float(sub["measure"].sum())
 
     def per_cluster(self, query: RangeQuery, cluster_ids: np.ndarray) -> dict[int, float]:
         wanted = set(int(c) for c in np.asarray(cluster_ids).tolist())
-        sub = self.pdf[self._mask(query)]
+        sub = self.pdf[query.mask(self.pdf)]
         sub = sub[sub["cluster_id"].isin(wanted)]
         if query.agg == COUNT:
             series = sub.groupby("cluster_id").size()

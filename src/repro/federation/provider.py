@@ -8,7 +8,6 @@ driver-side scalars; data-touching work is delegated to the evaluator.
 """
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,7 +37,7 @@ class QueryContext:
     query: RangeQuery
     cluster_ids: np.ndarray  # C^Q
     r: np.ndarray  # approximate proportions, aligned with cluster_ids
-    lookup_seconds: float
+    exact_path: bool  # N^Q < N^min: regular execution instead of sampling
 
     @property
     def n_q(self) -> int:
@@ -69,7 +68,6 @@ class LocalResult:
     smooth_ls: float  # sensitivity used to calibrate the release noise
     exact_path: bool  # True when N^Q < N^min triggered regular execution
     sampled_clusters: np.ndarray
-    eval_seconds: float
 
 
 class DataProvider:
@@ -96,12 +94,12 @@ class DataProvider:
 
     # -- step 1: identify C^Q and approximate proportions from metadata ----
     def prepare(self, query: RangeQuery) -> QueryContext:
-        """C^Q and its proportions; a ValueError names any query dimension
-        the metadata does not cover."""
-        t0 = time.perf_counter()
-        ids = clusters_for_query(self.meta, query)
-        ids, r = proportions(self.meta, query, ids)
-        return QueryContext(query, ids, r, time.perf_counter() - t0)
+        """C^Q (Eq 2 envelope, then the R >= 1/S threshold), its proportions
+        and the query path: exact when N^Q = |C^Q| < N^min. This is the one
+        place C^Q and the path are decided. A ValueError names any query
+        dimension the metadata does not cover."""
+        ids, r = proportions(self.meta, query, clusters_for_query(self.meta, query))
+        return QueryContext(query, ids, r, exact_path=len(ids) < self.n_min)
 
     # -- step 2: DP summaries for the allocation phase ---------------------
     def summarize(self, ctx: QueryContext, eps_o: float, rng: np.random.Generator) -> Summary:
@@ -124,14 +122,11 @@ class DataProvider:
     def exact_dp(self, query: RangeQuery) -> LocalResult:
         """Regular (non-approximated) execution — the N^Q < N^min path of
         step 4. Released later with Lap(GS/ε^E)."""
-        t0 = time.perf_counter()
-        value = self.exact(query)
         return LocalResult(
-            estimate=value,
+            estimate=self.exact(query),
             smooth_ls=EXACT_QUERY_GS,
             exact_path=True,
             sampled_clusters=np.array([], dtype="int64"),
-            eval_seconds=time.perf_counter() - t0,
         )
 
     # -- steps 5 + 6: EM sampling, HH estimation, smooth sensitivity ------
@@ -148,17 +143,14 @@ class DataProvider:
         estimate Q with Hansen–Hurwitz (Eq 3) and compute the averaged
         smooth local sensitivity (Algorithm 3, Eq 9/10)."""
         if ctx.n_q == 0:
-            return LocalResult(0.0, 0.0, False, np.array([], dtype="int64"), 0.0)
+            return LocalResult(0.0, 0.0, False, np.array([], dtype="int64"))
         s = int(np.clip(s, 1, max(1, ctx.n_q)))
         p = sampling_probabilities(ctx.r)
         sampled = exponential_mechanism_sample(
             ctx.cluster_ids, p, sens.delta_p(self.n_min), eps_s, s, rng
         )
 
-        t0 = time.perf_counter()
         q_by_cluster = self.evaluator.per_cluster(ctx.query, sampled)
-        eval_seconds = time.perf_counter() - t0
-
         idx = np.searchsorted(ctx.cluster_ids, sampled)
         q_draws = np.array([q_by_cluster.get(int(c), 0.0) for c in sampled])
         p_draws, r_draws = p[idx], ctx.r[idx]
@@ -183,7 +175,6 @@ class DataProvider:
             smooth_ls=float(np.mean(s_ls)),
             exact_path=False,
             sampled_clusters=sampled,
-            eval_seconds=eval_seconds,
         )
 
     def release(self, result: LocalResult, eps_e: float, rng: np.random.Generator) -> float:

@@ -3,7 +3,8 @@
 ``assert_equivalent(spark_df, sql, **tables)`` runs ``sql`` in DuckDB
 over ``tables`` and asserts the sorted rows match ``spark_df`` (the
 Spark result). This catches wrong results from a rewritten plan or a
-custom operator — "it ran" is not "it is correct".
+custom operator — "it ran" is not "it is correct". ``oracle_value(tensor,
+query)`` is the true answer of one range query over a pandas tensor.
 
 ``tables`` may be Spark or pandas DataFrames; Spark inputs are
 collected via ``.toPandas()``. Alias every output column identically
@@ -14,6 +15,8 @@ columns are not orderable so cannot be compared here.
 import duckdb
 import pandas as pd
 from pyspark.sql import DataFrame
+
+from repro.core.query import RangeQuery
 
 
 def _canon(pdf: pd.DataFrame) -> pd.DataFrame:
@@ -41,3 +44,13 @@ def assert_equivalent(spark_df: DataFrame, sql: str, **tables) -> None:
     pd.testing.assert_frame_equal(
         _canon(got), _canon(expected), check_dtype=False
     )
+
+
+def oracle_value(tensor: pd.DataFrame, query: RangeQuery) -> float:
+    """DuckDB's answer to ``query`` over the whole ``tensor``."""
+    con = duckdb.connect()
+    try:
+        con.register("t", tensor)
+        return float(con.execute(query.duckdb_sql("t")).fetchone()[0])
+    finally:
+        con.close()

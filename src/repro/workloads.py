@@ -2,14 +2,14 @@
 
 A workload (m, n) is m distinct random range queries over n dimensions.
 Like the paper, only queries that trigger the approximation on all data
-providers (N^Q >= N^min everywhere) are kept — generation rejects and
-retries until m qualifying queries are found.
+providers are kept: each provider's own step 1
+(:meth:`~repro.federation.provider.DataProvider.prepare`) decides the path,
+and generation rejects and retries until m qualifying queries are found.
 """
 from __future__ import annotations
 
 import numpy as np
 
-from repro.core.proportions import clusters_for_query
 from repro.core.query import COUNT, RangeQuery
 from repro.federation.provider import DataProvider
 
@@ -53,7 +53,8 @@ def qualifying_workload(
     max_tries: int = 10_000,
     min_width_frac: float = 0.1,
 ) -> list[RangeQuery]:
-    """m distinct queries with N^Q >= N^min on every provider (§6.1)."""
+    """m distinct queries that take the approximate path on every provider
+    (§6.1)."""
     rng = np.random.default_rng(seed)
     out: list[RangeQuery] = []
     seen: set[tuple] = set()
@@ -66,9 +67,7 @@ def qualifying_workload(
         key = tuple(sorted(q.ranges.items()))
         if key in seen:
             continue
-        if all(
-            len(clusters_for_query(p.meta, q)) >= p.n_min for p in providers
-        ):
+        if not any(p.prepare(q).exact_path for p in providers):
             seen.add(key)
             out.append(q)
     if len(out) < m:

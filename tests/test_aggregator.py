@@ -1,23 +1,14 @@
 """Tests for the aggregator protocol orchestration."""
 from __future__ import annotations
 
-import duckdb
 import numpy as np
 import pytest
 
 from repro.core.query import COUNT, SUM, RangeQuery
 from repro.dp.accountant import BudgetExhausted, PrivacyAccountant
+from repro.oracle import oracle_value
 
 Q = RangeQuery(COUNT, {"age": (5, 60), "education": (0, 14)})
-
-
-def oracle_value(tensor, q):
-    con = duckdb.connect()
-    try:
-        con.register("t", tensor)
-        return float(con.execute(q.duckdb_sql("t")).fetchone()[0])
-    finally:
-        con.close()
 
 
 class TestExactFederated:

@@ -1,34 +1,17 @@
-"""Tests for the baselines: exact federation, local/global sampling."""
+"""Tests for the baselines: local/global sampling."""
 from __future__ import annotations
 
-import duckdb
 import numpy as np
 import pytest
 
-from repro.baselines.exact import exact_federated
 from repro.baselines.local_sampling import (
     global_sampling_estimate,
     local_sampling_estimate,
 )
 from repro.core.query import COUNT, RangeQuery
+from repro.oracle import oracle_value
 
 Q = RangeQuery(COUNT, {"age": (0, 25)})  # value-skewed across providers
-
-
-def oracle_value(tensor, q):
-    con = duckdb.connect()
-    try:
-        con.register("t", tensor)
-        return float(con.execute(q.duckdb_sql("t")).fetchone()[0])
-    finally:
-        con.close()
-
-
-class TestExactBaseline:
-    def test_matches_oracle(self, adult_fed):
-        got = exact_federated(adult_fed.aggregator, Q)
-        assert got.value == oracle_value(adult_fed.tensor, Q)
-        assert got.seconds > 0
 
 
 class TestSamplingBaselines:

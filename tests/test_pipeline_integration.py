@@ -2,24 +2,14 @@
 DuckDB oracle, on both datasets, plus privacy-accounting invariants."""
 from __future__ import annotations
 
-import duckdb
 import numpy as np
 import pytest
 
 from repro.core.query import COUNT, SUM, RangeQuery
 from repro.dp.accountant import split_budget
-from repro.oracle import assert_equivalent
+from repro.oracle import assert_equivalent, oracle_value
 from repro.workloads import qualifying_workload
 from repro.synth_data import ADULT_DIMS, AMAZON_DIMS
-
-
-def oracle_value(tensor, q):
-    con = duckdb.connect()
-    try:
-        con.register("t", tensor)
-        return float(con.execute(q.duckdb_sql("t")).fetchone()[0])
-    finally:
-        con.close()
 
 
 class TestFederatedExactnessOracle:

@@ -10,7 +10,7 @@ from repro.core.metadata import build_metadata
 from repro.core.proportions import (
     clusters_for_query,
     proportions,
-    r_floor,
+    raw_proportions,
     sampling_probabilities,
 )
 from repro.core.query import COUNT, RangeQuery
@@ -29,6 +29,11 @@ def range_queries(draw):
         lb, ub = sorted(draw(st.integers(-3, ADULT_DIMS[d] + 3)) for _ in range(2))
         ranges[d] = (lb, ub)
     return RangeQuery(COUNT, ranges)
+
+
+def thresholded(meta, q):
+    """C^Q as ``DataProvider.prepare`` computes it: envelope, then threshold."""
+    return proportions(meta, q, clusters_for_query(meta, q))
 
 
 @pytest.fixture(scope="module")
@@ -105,10 +110,9 @@ class TestAgainstBruteForce:
                 for d, (lb, ub) in q.ranges.items():
                     r *= max((cols[d] >= lb).sum() / S - (cols[d] >= ub + 1).sum() / S, 0.0)
                 expect_r.append(r)
-        np.testing.assert_array_equal(clusters_for_query(meta, q), envelope)
-        ids, r = proportions(meta, q, min_r=0.0)
+        ids = clusters_for_query(meta, q)
         np.testing.assert_array_equal(ids, envelope)
-        np.testing.assert_array_equal(r, expect_r)
+        np.testing.assert_array_equal(raw_proportions(meta, q, ids), expect_r)
 
 
 class TestProportions:
@@ -118,7 +122,7 @@ class TestProportions:
         cluster, and dropped clusters hold less than one expected row."""
         pdf, meta = setup
         q = RangeQuery(COUNT, {"age": (20, 40)})
-        ids, r = proportions(meta, q)
+        ids, r = thresholded(meta, q)
         kept = set(ids.tolist())
         for cid, got in zip(ids, r):
             grp = pdf[pdf["cluster_id"] == cid]
@@ -133,14 +137,14 @@ class TestProportions:
     def test_multi_dim_R_in_unit_interval(self, setup):
         _, meta = setup
         q = RangeQuery(COUNT, {"age": (10, 50), "education": (2, 10), "hours": (10, 80)})
-        _, r = proportions(meta, q)
+        _, r = thresholded(meta, q)
         assert (r > 0).all() and (r <= 1.0 + 1e-12).all()
 
     def test_multi_dim_R_close_to_truth_on_average(self, setup):
         """Independence approximation should track the true fraction."""
         pdf, meta = setup
         q = RangeQuery(COUNT, {"age": (10, 50), "hours": (20, 70)})
-        ids, r = proportions(meta, q)
+        ids, r = thresholded(meta, q)
         true = []
         for cid in ids:
             grp = pdf[pdf["cluster_id"] == cid]
@@ -154,18 +158,8 @@ class TestProportions:
         """Every kept cluster holds at least one expected row (R >= 1/S)."""
         _, meta = setup
         q = RangeQuery(COUNT, {"age": (10, 50), "education": (0, 15), "hours": (0, 98)})
-        assert r_floor(meta, q) == pytest.approx(S ** -3.0)
-        _, r = proportions(meta, q)
+        _, r = thresholded(meta, q)
         assert (r >= 1.0 / S - 1e-15).all()
-
-    def test_threshold_override(self, setup):
-        """min_r=0 recovers the raw (unthresholded) Eq 2 set."""
-        _, meta = setup
-        from repro.core.proportions import clusters_for_query as cfq
-
-        q = RangeQuery(COUNT, {"age": (10, 50)})
-        ids, _ = proportions(meta, q, min_r=0.0)
-        assert set(ids.tolist()) == set(cfq(meta, q).tolist())
 
     def test_inclusive_upper_bound(self, setup):
         """[v, v] point range must count rows equal to v (the paper's
@@ -173,7 +167,7 @@ class TestProportions:
         pdf, meta = setup
         v = int(pdf["age"].mode()[0])
         q = RangeQuery(COUNT, {"age": (v, v)})
-        ids, r = proportions(meta, q)
+        ids, r = thresholded(meta, q)
         for cid, got in zip(ids, r):
             true = (pdf.loc[pdf["cluster_id"] == cid, "age"] == v).sum() / S
             assert got == pytest.approx(true), cid
@@ -182,14 +176,14 @@ class TestProportions:
 class TestSamplingProbabilities:
     def test_sum_to_one(self, setup):
         _, meta = setup
-        _, r = proportions(meta, RangeQuery(COUNT, {"age": (10, 50)}))
+        _, r = thresholded(meta, RangeQuery(COUNT, {"age": (10, 50)}))
         p = sampling_probabilities(r)
         assert p.sum() == pytest.approx(1.0)
         assert (p > 0).all()
 
     def test_proportional_to_R(self, setup):
         _, meta = setup
-        _, r = proportions(meta, RangeQuery(COUNT, {"age": (10, 50)}))
+        _, r = thresholded(meta, RangeQuery(COUNT, {"age": (10, 50)}))
         p = sampling_probabilities(r)
         np.testing.assert_allclose(p * r.sum(), r)
 

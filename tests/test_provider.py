@@ -1,6 +1,8 @@
 """Tests for the data provider's local protocol steps."""
 from __future__ import annotations
 
+import time
+
 import numpy as np
 import pytest
 
@@ -18,14 +20,14 @@ class TestPrepare:
         assert ctx.n_q == len(ctx.cluster_ids) == len(ctx.r)
         assert ctx.sum_r == pytest.approx(float(ctx.r.sum()))
         assert 0 <= ctx.avg_r <= 1
-        assert ctx.lookup_seconds >= 0
 
     def test_lookup_is_fast(self, adult_fed):
         """Metadata lookups must cost far less than a scan (the point of
         Algorithm 1) — generous bound to stay robust on CI noise."""
         p = adult_fed.providers[0]
-        ctx = p.prepare(Q_WIDE)
-        assert ctx.lookup_seconds < 0.5
+        t0 = time.perf_counter()
+        p.prepare(Q_WIDE)
+        assert time.perf_counter() - t0 < 0.5
 
     def test_empty_context_for_impossible_query(self, adult_fed):
         p = adult_fed.providers[0]

@@ -4,7 +4,6 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.proportions import clusters_for_query
 from repro.core.query import COUNT, SUM
 from repro.synth_data import ADULT_DIMS
 from repro.workloads import qualifying_workload, random_query
@@ -45,13 +44,28 @@ class TestQualifyingWorkload:
         assert len(keys) == 10
 
     def test_all_queries_trigger_approximation(self, adult_fed):
-        """Paper §6.1: only queries with N^min <= N^Q everywhere are run."""
+        """Paper §6.1: only queries with N^min <= N^Q everywhere are run,
+        N^Q counted on the thresholded C^Q the provider samples from."""
         ws = qualifying_workload(
             ADULT_DIMS, adult_fed.providers, m=8, n_dims=2, seed=1
         )
         for q in ws:
             for p in adult_fed.providers:
-                assert len(clusters_for_query(p.meta, q)) >= p.n_min
+                assert not p.prepare(q).exact_path
+
+    def test_answers_take_approximate_path(self, adult_fed_pandas):
+        """The protocol runs every workload query on the approximate path on
+        every provider: the generator and the aggregator agree on C^Q."""
+        ws = qualifying_workload(
+            ADULT_DIMS, adult_fed_pandas.providers, m=6, n_dims=4, seed=0,
+            min_width_frac=0.3,
+        )
+        rng = np.random.default_rng(0)
+        for q in ws:
+            ans = adult_fed_pandas.aggregator.answer(
+                q, sampling_rate=0.2, eps=1.0, delta=1e-3, rng=rng
+            )
+            assert not any(lr.exact_path for lr in ans.local_results), q
 
     def test_deterministic_in_seed(self, adult_fed):
         a = qualifying_workload(ADULT_DIMS, adult_fed.providers, m=5, n_dims=2, seed=7)
