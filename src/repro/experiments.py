@@ -219,7 +219,7 @@ def smc_cost_simulation(
 
 
 def attack_table(
-    fed_pandas: Federation,
+    fed: Federation,
     spec: AttackSpec,
     *,
     xi_list: list[float],
@@ -232,11 +232,13 @@ def attack_table(
 ) -> list[dict]:
     """Table 1: NBC inference accuracy per composition mode / agg / ξ.
 
-    Answers are issued through the full protocol (pandas-evaluator
-    federation — numerically identical, feasible for ~10^4 queries/cell).
-    Optionally appends the non-private ceiling row (exact answers) showing
-    the attack does work without DP.
+    Answers are issued through the full protocol on ``fed``'s pandas
+    mirror (numerically identical, and feasible for ~10^4 queries per cell,
+    where one Spark job per query is not). Optionally appends the
+    non-private ceiling row (exact answers) showing the attack does work
+    without DP.
     """
+    mirror = fed.with_pandas_evaluators()
     rows = []
     nq = spec.n_queries
     t0 = time.perf_counter()
@@ -248,18 +250,18 @@ def attack_table(
                 rng = np.random.default_rng(seed)
 
                 def answer(q: RangeQuery) -> float:
-                    return fed_pandas.aggregator.answer(
+                    return mirror.aggregator.answer(
                         q, sampling_rate=sr, eps=eps, delta=delta, rng=rng
                     ).value
 
                 nbc = train_nbc(spec, answer, agg=agg)
-                accs[f"xi={xi:g}"] = nbc.accuracy(fed_pandas.tensor)
+                accs[f"xi={xi:g}"] = nbc.accuracy(fed.tensor)
             rows.append({"mode": mode, "agg": agg, **accs})
     if include_no_privacy_ceiling:
         from repro.attack.nbc import exact_answer_fn
 
-        nbc = train_nbc(spec, exact_answer_fn(fed_pandas.tensor), agg=COUNT)
-        acc = nbc.accuracy(fed_pandas.tensor)
+        nbc = train_nbc(spec, exact_answer_fn(fed.tensor), agg=COUNT)
+        acc = nbc.accuracy(fed.tensor)
         rows.append(
             {"mode": "no-privacy (ceiling)", "agg": COUNT}
             | {f"xi={xi:g}": acc for xi in xi_list}
@@ -299,7 +301,6 @@ class FederationSpec:
     tensor_seed: int
     cluster_frac: float  # S as a fraction of one provider's rows
     seed: int  # build_federation seed: provider partition and cluster jitter
-    store: bool = True  # a parquet ClusterStore per provider; else PandasEvaluators
     n_providers: int = 4
     n_min: int = 10
 
@@ -307,17 +308,16 @@ class FederationSpec:
 def build(spark: SparkSession, spec: FederationSpec, store_root: str) -> Federation:
     """Build ``spec``'s federation, its parquet stores under ``store_root``."""
     generator, dims = _DATASETS[spec.dataset]
-    fed = build_federation(
+    return build_federation(
         spark,
         generator(sf=spec.sf, seed=spec.tensor_seed),
         dims=list(dims),
         n_providers=spec.n_providers,
         cluster_frac=spec.cluster_frac,
         n_min=spec.n_min,
-        store_root=store_root if spec.store else None,
+        store_root=store_root,
         seed=spec.seed,
     )
-    return fed if spec.store else fed.with_pandas_evaluators()
 
 
 # Accuracy at the paper's regime needs the paper's data scale: the smooth-
@@ -335,9 +335,10 @@ FEDERATIONS: dict[str, FederationSpec] = {
     # Fig 7's scale sweep
     "amazon_small": replace(_AMAZON, sf=0.1),
     "amazon_big": replace(_AMAZON, sf=1.0),
-    # Table 1 issues ~10^4 queries per cell: 40k rows, driver-side evaluators
-    # (numerically identical to the Spark path, see tests/test_evaluation.py)
-    "adult_attack": replace(_ADULT, sf=0.01, store=False),
+    # Table 1: 40k rows; attack_table answers its ~10^4 queries per cell
+    # through the pandas mirror (numerically identical to the store path,
+    # see tests/test_evaluation.py)
+    "adult_attack": replace(_ADULT, sf=0.01),
 }
 
 

@@ -62,14 +62,12 @@ class Aggregator:
         delta: float,
         rng: np.random.Generator,
         use_smc: bool = False,
-        hp: tuple[float, float, float] = (0.1, 0.1, 0.8),
         accountant: PrivacyAccountant | None = None,
-        smc_env: SMCEnvironment | None = None,
     ) -> PrivateAnswer:
         """Run the full private approximate query protocol."""
         if accountant is not None:
             accountant.charge(eps, delta)
-        budget = split_budget(eps, hp)
+        budget = split_budget(eps)
         t0 = time.perf_counter()
 
         # steps 1–2: local metadata lookups + DP summaries
@@ -101,14 +99,11 @@ class Aggregator:
         # step 7: release
         smc_seconds = 0.0
         if use_smc:
-            env = smc_env or SMCEnvironment(n_parties=len(self.providers), rng=rng)
-            before = env.simulated_seconds
+            env = SMCEnvironment(n_parties=len(self.providers), rng=rng)
             total = env.secure_sum([lr.estimate for lr in locals_])
-            # exact-path providers contribute GS=1 to the max, like others
-            max_ls = env.secure_max(
-                [lr.smooth_ls if not lr.exact_path else 1.0 for lr in locals_]
-            )
-            smc_seconds = env.simulated_seconds - before
+            # exact-path results carry smooth_ls = GS = 1, so they join the max
+            max_ls = env.secure_max([lr.smooth_ls for lr in locals_])
+            smc_seconds = env.simulated_seconds
             noise = laplace_noise(2.0 * max_ls, budget.eps_estimate, rng)
             value = total + noise
         else:

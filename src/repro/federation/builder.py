@@ -2,9 +2,9 @@
 
 Encapsulates the experiment setup used throughout the evaluation: partition
 a count tensor horizontally across ``n_providers``, assign value-local
-clusters of the agreed size S per provider, create the Spark DataFrames,
-optionally persist each provider to a cluster-pruned parquet store, and run
-the offline metadata build (Algorithm 1).
+clusters of the agreed size S per provider, persist each provider to a
+cluster-pruned parquet store, and run the offline metadata build
+(Algorithm 1) over that store.
 """
 from __future__ import annotations
 
@@ -27,34 +27,22 @@ class Federation:
     """A ready-to-query federated environment."""
 
     aggregator: Aggregator
-    providers: list[DataProvider]
     tensor: pd.DataFrame  # the full (union) tensor, for oracle checks
     local_frames: list[pd.DataFrame]  # per-provider clustered pandas frames
-    dims: list[str]
     S: int
+
+    @property
+    def providers(self) -> list[DataProvider]:
+        return self.aggregator.providers
 
     def with_pandas_evaluators(self) -> "Federation":
         """Clone with driver-side evaluators (identical math, no Spark jobs
         per query) — used by bulk harnesses like the Table-1 attack."""
         providers = [
-            DataProvider(
-                p.name,
-                dims=p.dims,
-                S=p.S,
-                n_min=p.n_min,
-                metadata=p.meta,
-                evaluator=PandasEvaluator(pdf),
-            )
+            DataProvider(p.name, n_min=p.n_min, metadata=p.meta, evaluator=PandasEvaluator(pdf))
             for p, pdf in zip(self.providers, self.local_frames)
         ]
-        return Federation(
-            aggregator=Aggregator(providers),
-            providers=providers,
-            tensor=self.tensor,
-            local_frames=self.local_frames,
-            dims=self.dims,
-            S=self.S,
-        )
+        return Federation(Aggregator(providers), self.tensor, self.local_frames, self.S)
 
 
 def build_federation(
@@ -62,20 +50,20 @@ def build_federation(
     tensor: pd.DataFrame,
     *,
     dims: list[str],
+    store_root: str,
     n_providers: int = 4,
     cluster_frac: float = 0.01,
     n_min: int = 10,
     sort_dim: str | None = None,
     partition_mode: str = "contiguous",
-    store_root: str | None = None,
     seed: int = 0,
 ) -> Federation:
     """Build a federation from a count tensor.
 
     ``cluster_frac`` sets the agreed cluster size S as a fraction of one
     provider's rows (the paper uses 1% for Adult, 0.5% for Amazon Review).
-    With ``store_root`` set, each provider is persisted as a partitioned
-    parquet :class:`ClusterStore` so approximate queries do pruned I/O.
+    Each provider is persisted as a partitioned parquet :class:`ClusterStore`
+    under ``store_root``, so approximate queries do pruned I/O.
     """
     sort_dim = sort_dim or dims[0]
     parts = partition_providers(
@@ -91,30 +79,15 @@ def build_federation(
     for i, part in enumerate(parts):
         local = assign_clusters(part, cluster_size=S, sort_dim=sort_dim, seed=seed + i)
         local_frames.append(local)
-        df = spark.createDataFrame(local)
-        store = None
-        if store_root is not None:
-            path = os.path.join(store_root, f"provider_{i}")
-            store = ClusterStore.write(df, path)
-            df = store.read_all(spark)
-        else:
-            df = df.cache()
-        meta = build_metadata(df, dims=dims, S=S)
+        path = os.path.join(store_root, f"provider_{i}")
+        store = ClusterStore.write(spark.createDataFrame(local), path)
+        meta = build_metadata(store.read_all(spark), dims=dims, S=S)
         providers.append(
             DataProvider(
                 f"provider_{i}",
-                dims=dims,
-                S=S,
                 n_min=n_min,
                 metadata=meta,
-                evaluator=SparkEvaluator(df, store),
+                evaluator=SparkEvaluator(store, spark),
             )
         )
-    return Federation(
-        aggregator=Aggregator(providers),
-        providers=providers,
-        tensor=tensor,
-        local_frames=local_frames,
-        dims=dims,
-        S=S,
-    )
+    return Federation(Aggregator(providers), tensor, local_frames, S)

@@ -1,15 +1,17 @@
-"""Pluggable local query-evaluation backends for a data provider.
+"""Local query-evaluation backends for a data provider.
 
 The protocol math (metadata lookups, DP, sampling, estimation) is identical
 regardless of how ``Q(C)`` is physically computed. Two backends:
 
-* :class:`SparkEvaluator` — the production path: Spark DataFrame filter +
-  groupBy aggregation, optionally against a cluster-pruned parquet
-  :class:`~repro.clusterstore.store.ClusterStore`.
+* :class:`SparkEvaluator` — the production path: Spark filter + groupBy
+  aggregation over the provider's cluster-pruned parquet
+  :class:`~repro.clusterstore.store.ClusterStore`. Q(C) reads only the
+  sampled clusters' directories; the exact path scans the whole store.
 * :class:`PandasEvaluator` — a driver-side mirror over the provider's
-  collected partition, numerically identical (tests assert it). Used by the
-  Table-1 attack harness, which issues ~10^4 point queries — one Spark job
-  per query would take days; the *protocol* stays exactly the same.
+  clustered pandas frame, numerically identical (tests assert it). The
+  Table-1 attack answers through it, as it issues ~10^4 point queries per
+  cell and one Spark job per query would take days; the *protocol* stays
+  exactly the same.
 """
 from __future__ import annotations
 
@@ -17,8 +19,7 @@ from typing import Protocol
 
 import numpy as np
 import pandas as pd
-from pyspark.sql import DataFrame, SparkSession
-from pyspark.sql import functions as F
+from pyspark.sql import SparkSession
 
 from repro.clusterstore.store import ClusterStore
 from repro.core.query import COUNT, RangeQuery
@@ -35,32 +36,19 @@ class Evaluator(Protocol):
 
 
 class SparkEvaluator:
-    """Evaluate via Spark jobs; prunes I/O to sampled clusters when backed
-    by a partitioned parquet store."""
+    """Evaluate via Spark jobs over a provider's parquet cluster store,
+    pruning I/O to the sampled clusters."""
 
-    def __init__(self, df: DataFrame, store: ClusterStore | None = None) -> None:
-        self.df = df
+    def __init__(self, store: ClusterStore, spark: SparkSession) -> None:
         self.store = store
-
-    @property
-    def _spark(self) -> SparkSession:
-        return self.df.sparkSession
-
-    def _frame(self, cluster_ids: np.ndarray | None) -> DataFrame:
-        if self.store is not None:
-            if cluster_ids is None:
-                return self.store.read_all(self._spark)
-            return self.store.read_clusters(self._spark, np.unique(cluster_ids))
-        if cluster_ids is None:
-            return self.df
-        ids = [int(c) for c in np.unique(cluster_ids)]
-        return self.df.filter(F.col("cluster_id").isin(ids))
+        self.spark = spark
 
     def total(self, query: RangeQuery) -> float:
-        return query.evaluate(self._frame(None))
+        return query.evaluate(self.store.read_all(self.spark))
 
     def per_cluster(self, query: RangeQuery, cluster_ids: np.ndarray) -> dict[int, float]:
-        return query.evaluate_per_cluster(self._frame(cluster_ids))
+        frame = self.store.read_clusters(self.spark, np.unique(cluster_ids))
+        return query.evaluate_per_cluster(frame)
 
 
 class PandasEvaluator:

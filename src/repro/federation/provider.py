@@ -2,9 +2,11 @@
 
 A provider owns a horizontally partitioned slice of the federated table
 (accessed through an :class:`~repro.federation.evaluation.Evaluator` — Spark
-in production, an identical pandas mirror for the bulk attack harness), the
-offline metadata of Algorithm 1, and its N^min threshold. DP decisions are
-driver-side scalars; data-touching work is delegated to the evaluator.
+over its parquet cluster store, or an identical pandas mirror for the bulk
+attack harness), the offline metadata of Algorithm 1, which also fixes the
+cluster size S and the covered dimensions, and its N^min threshold. DP
+decisions are driver-side scalars; data-touching work is delegated to the
+evaluator.
 """
 from __future__ import annotations
 
@@ -77,8 +79,6 @@ class DataProvider:
         self,
         name: str,
         *,
-        dims: list[str],
-        S: int,
         n_min: int,
         metadata: ProviderMetadata,
         evaluator: Evaluator,
@@ -86,8 +86,6 @@ class DataProvider:
         if n_min < 1:
             raise ValueError("N^min must be >= 1")
         self.name = name
-        self.dims = list(dims)
-        self.S = int(S)
         self.n_min = int(n_min)
         self.meta = metadata
         self.evaluator = evaluator
@@ -108,7 +106,7 @@ class DataProvider:
         A query with no ranges (full-table aggregate) has |D^Q| = 0; the
         sensitivity formulas need |D^Q| >= 1, and one added row can still
         change a proportion by at most Δ_R(S, 1), so clamp to 1."""
-        d_avg = sens.delta_avg_r(self.S, max(1, len(ctx.query.ranges)), self.n_min)
+        d_avg = sens.delta_avg_r(self.meta.S, max(1, len(ctx.query.ranges)), self.n_min)
         return Summary(
             noisy_n_q=laplace_mechanism(ctx.n_q, 1.0, eps_o / 2.0, rng),
             noisy_avg_r=laplace_mechanism(ctx.avg_r, d_avg, eps_o / 2.0, rng),
@@ -163,7 +161,7 @@ class DataProvider:
                 r=float(r),
                 p=float(pp),
                 sum_r=ctx.sum_r,
-                S=self.S,
+                S=self.meta.S,
                 n_query_dims=n_dims,
                 eps=eps_e,
                 delta=delta,

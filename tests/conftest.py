@@ -1,7 +1,9 @@
 """Shared fixtures: small deterministic federations built once per session.
 
 Scale: SF chosen so each dataset is ~8k tensor rows (unit-test scale per the
-repo conventions); the benchmark suite rebuilds at SF=0.1.
+repo conventions); the benchmark suite rebuilds at SF=0.1. Each provider is
+a parquet cluster store under a session temp directory, the same data path
+as every paper artifact.
 """
 from __future__ import annotations
 
@@ -27,11 +29,12 @@ def amazon_pdf() -> pd.DataFrame:
 
 
 @pytest.fixture(scope="session")
-def adult_fed(spark, adult_pdf) -> Federation:
+def adult_fed(spark, adult_pdf, tmp_path_factory) -> Federation:
     return build_federation(
         spark,
         adult_pdf,
         dims=list(ADULT_DIMS),
+        store_root=str(tmp_path_factory.mktemp("adult_store")),
         n_providers=4,
         cluster_frac=0.01,
         n_min=5,
@@ -40,11 +43,12 @@ def adult_fed(spark, adult_pdf) -> Federation:
 
 
 @pytest.fixture(scope="session")
-def amazon_fed(spark, amazon_pdf) -> Federation:
+def amazon_fed(spark, amazon_pdf, tmp_path_factory) -> Federation:
     return build_federation(
         spark,
         amazon_pdf,
         dims=list(AMAZON_DIMS),
+        store_root=str(tmp_path_factory.mktemp("amazon_store")),
         n_providers=4,
         cluster_frac=0.005,
         n_min=5,

@@ -66,6 +66,14 @@ class TestPrunedReads:
         assert a == b
 
 
+@pytest.mark.parametrize("fed", ["adult_fed", "amazon_fed"])
+def test_federation_store_holds_metadata_clusters(request, fed):
+    """Each provider of a built federation is one store holding exactly the
+    clusters its metadata describes."""
+    for p in request.getfixturevalue(fed).providers:
+        assert p.evaluator.store.n_clusters() == p.meta.n_clusters
+
+
 class TestErrors:
     def test_missing_path_rejected(self):
         with pytest.raises(FileNotFoundError):

@@ -25,10 +25,13 @@ class TestBackendEquality:
             assert ps.evaluator.total(q) == pp.evaluator.total(q)
 
     def test_per_cluster_identical(self, adult_fed, adult_fed_pandas, qi):
+        """On every provider, for a plain id list and for a draw with
+        repeated ids (the EM samples with replacement)."""
         q = QUERIES[qi]
-        ps, pp = adult_fed.providers[0], adult_fed_pandas.providers[0]
-        ids = ps.meta.cluster_ids[:20]
-        assert ps.evaluator.per_cluster(q, ids) == pp.evaluator.per_cluster(q, ids)
+        for ps, pp in zip(adult_fed.providers, adult_fed_pandas.providers):
+            ids = ps.meta.cluster_ids
+            for drawn in (ids[:20], ids[[0, 3, 3, 7, 0, 0, 12]]):
+                assert ps.evaluator.per_cluster(q, drawn) == pp.evaluator.per_cluster(q, drawn)
 
 
 class TestOracleOnSparkEvaluator:

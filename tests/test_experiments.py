@@ -119,9 +119,9 @@ class TestAttackTable:
             domains={"relationship": 6, "sex": 2},
         )
 
-    def test_table_structure(self, adult_fed_pandas, tiny_spec):
+    def test_table_structure(self, adult_fed, tiny_spec):
         rows = attack_table(
-            adult_fed_pandas, tiny_spec, xi_list=[1.0, 50.0], seed=9,
+            adult_fed, tiny_spec, xi_list=[1.0, 50.0], seed=9,
             modes=("sequential",), aggs=(COUNT,),
             include_no_privacy_ceiling=True,
         )
@@ -132,14 +132,28 @@ class TestAttackTable:
         assert set(seq) >= {"mode", "agg", "xi=1", "xi=50"}
         assert 0 <= seq["xi=1"] <= 1
 
-    def test_all_modes_run(self, adult_fed_pandas, tiny_spec):
+    def test_all_modes_run(self, adult_fed, tiny_spec):
         rows = attack_table(
-            adult_fed_pandas, tiny_spec, xi_list=[10.0], seed=10,
+            adult_fed, tiny_spec, xi_list=[10.0], seed=10,
             include_no_privacy_ceiling=False,
         )
         modes = {r["mode"] for r in rows if r["agg"]}
         assert modes == {"sequential", "advanced", "coalition"}
         assert len([r for r in rows if r["agg"]]) == 6  # 3 modes × 2 aggs
+
+    def test_submits_no_spark_jobs(self, spark, adult_fed, tiny_spec):
+        """Table 1 answers through the pandas mirror, on a store-backed
+        federation: zero Spark jobs, counted under a job group."""
+        sc = spark.sparkContext
+        sc.setJobGroup("test-attack-table", "attack table job count")
+        try:
+            attack_table(
+                adult_fed, tiny_spec, xi_list=[10.0], seed=11,
+                modes=("sequential",), aggs=(COUNT,),
+            )
+        finally:
+            sc.setLocalProperty("spark.jobGroup.id", None)
+        assert sc.statusTracker().getJobIdsForGroup("test-attack-table") == []
 
 
 class TestRegistry:

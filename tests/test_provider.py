@@ -58,7 +58,7 @@ class TestSummarize:
         avg_errs = np.abs(
             [p.summarize(ctx, eps_o, rng).noisy_avg_r - ctx.avg_r for _ in range(8000)]
         )
-        d_avg = sens.delta_avg_r(p.S, len(Q_WIDE.ranges), p.n_min)
+        d_avg = sens.delta_avg_r(p.meta.S, len(Q_WIDE.ranges), p.n_min)
         assert np.mean(avg_errs) == pytest.approx(d_avg / (eps_o / 2), rel=0.1)
 
     def test_summaries_are_noisy(self, adult_fed, rng):
@@ -152,4 +152,4 @@ class TestConstruction:
 
         p = adult_fed.providers[0]
         with pytest.raises(ValueError):
-            DataProvider("x", dims=p.dims, S=p.S, n_min=0, metadata=p.meta, evaluator=p.evaluator)
+            DataProvider("x", n_min=0, metadata=p.meta, evaluator=p.evaluator)
