@@ -26,7 +26,7 @@ def main() -> None:
 
     spark = (
         SparkSession.builder.appName("repro-experiments")
-        # pandas -> Spark conversion of the multi-million-row tensors
+        # Spark -> pandas collection of the Algorithm 1 counts
         .config("spark.sql.execution.arrow.pyspark.enabled", "true")
         .getOrCreate()
     )

@@ -11,7 +11,9 @@ both things the online phase needs:
   ``v_max >= lb  <=>  geq[d][j, lb] > 0`` and
   ``v_min <= ub  <=>  geq[d][j, ub + 1] < n_rows[j]``.
 
-One Spark job counts rows per (cluster, value) for every dimension; the
+One Spark job, over a single scan of the provider table, counts rows per
+(cluster, dimension, value): each row is exploded into one ``(dim, value)``
+pair per dimension with ``posexplode`` and the pairs are grouped once. The
 driver scatters the counts and takes a reverse cumulative sum along the
 value axis. The paper stores this as small per-cluster meta files (~tens of
 KB per cluster), so driver-side numpy lookup is the faithful analogue.
@@ -73,21 +75,19 @@ class ProviderMetadata:
 def build_metadata(df: DataFrame, *, dims: list[str], S: int) -> ProviderMetadata:
     """Run Algorithm 1 over a provider table (must carry ``cluster_id``).
 
-    The per-dimension ``groupBy(cluster_id, value).count()`` aggregations
-    are unioned into a single Spark job. Dimension values must be
-    non-negative integers, since the dense layout indexes by value.
+    The values are cast to double so that dimensions of mixed types share
+    the one exploded column. Dimension values must be non-negative
+    integers, since the dense layout indexes by value.
     """
     if S <= 0:
         raise ValueError("cluster size S must be positive")
-    stacked = None
-    for i, d in enumerate(dims):
-        part = (
-            df.groupBy("cluster_id", F.col(d).alias("value"))
-            .count()
-            .withColumn("dim", F.lit(i))
-        )
-        stacked = part if stacked is None else stacked.unionByName(part)
-    counts = stacked.toPandas()
+    values = F.array(*[F.col(d).cast("double") for d in dims])
+    counts = (
+        df.select("cluster_id", F.posexplode(values).alias("dim", "value"))
+        .groupBy("cluster_id", "dim", "value")
+        .count()
+        .toPandas()
+    )
 
     cluster = counts["cluster_id"].to_numpy(dtype="int64")
     cluster_ids = np.unique(cluster)

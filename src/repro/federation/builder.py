@@ -5,13 +5,21 @@ a count tensor horizontally across ``n_providers``, assign value-local
 clusters of the agreed size S per provider, persist each provider to a
 cluster-pruned parquet store, and run the offline metadata build
 (Algorithm 1) over that store.
+
+The clusters are assigned on the driver first, provider by provider, so
+every random draw happens in a fixed order. The providers are then built
+concurrently, one thread each: every provider writes its own store and
+runs its own metadata job over it, as a separate party would.
 """
 from __future__ import annotations
 
 import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import pandas as pd
+import pyarrow as pa
+import pyarrow.parquet as pq
 from pyspark.sql import SparkSession
 
 from repro.clusterstore.store import ClusterStore
@@ -74,20 +82,32 @@ def build_federation(
         sort_dim=sort_dim if partition_mode == "contiguous" else None,
     )
     S = max(2, int(round(cluster_frac * len(parts[0]))))
-    providers: list[DataProvider] = []
-    local_frames: list[pd.DataFrame] = []
-    for i, part in enumerate(parts):
-        local = assign_clusters(part, cluster_size=S, sort_dim=sort_dim, seed=seed + i)
-        local_frames.append(local)
+    os.makedirs(store_root, exist_ok=True)
+    local_frames = [
+        assign_clusters(part, cluster_size=S, sort_dim=sort_dim, seed=seed + i)
+        for i, part in enumerate(parts)
+    ]
+
+    def build_provider(i: int) -> DataProvider:
+        # The table reaches Spark as a parquet file written by Arrow. Spark
+        # streams it from disk, so concurrent builds hold no provider's rows
+        # in the driver heap, and the hand-off needs neither Python workers
+        # nor the session's Arrow setting.
         path = os.path.join(store_root, f"provider_{i}")
-        store = ClusterStore.write(spark.createDataFrame(local), path)
+        staged = f"{path}.staged.parquet"
+        pq.write_table(pa.Table.from_pandas(local_frames[i], preserve_index=False), staged)
+        try:
+            store = ClusterStore.write(spark.read.parquet(staged), path)
+        finally:
+            os.remove(staged)
         meta = build_metadata(store.read_all(spark), dims=dims, S=S)
-        providers.append(
-            DataProvider(
-                f"provider_{i}",
-                n_min=n_min,
-                metadata=meta,
-                evaluator=SparkEvaluator(store, spark),
-            )
+        return DataProvider(
+            f"provider_{i}",
+            n_min=n_min,
+            metadata=meta,
+            evaluator=SparkEvaluator(store, spark),
         )
+
+    with ThreadPoolExecutor(max_workers=len(parts)) as pool:
+        providers = list(pool.map(build_provider, range(len(parts))))
     return Federation(Aggregator(providers), tensor, local_frames, S)

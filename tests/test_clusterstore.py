@@ -1,12 +1,16 @@
 """Tests for the cluster-pruned parquet store."""
 from __future__ import annotations
 
+import numpy as np
 import pytest
+from pyspark.sql.types import LongType
 
 from repro.clusterstore.store import ClusterStore
+from repro.core.metadata import build_metadata
 from repro.core.query import COUNT, RangeQuery
+from repro.federation.builder import build_federation
 from repro.oracle import assert_equivalent
-from repro.synth_data import adult_tensor, assign_clusters
+from repro.synth_data import ADULT_DIMS, adult_tensor, assign_clusters
 
 
 @pytest.fixture(scope="module")
@@ -72,6 +76,60 @@ def test_federation_store_holds_metadata_clusters(request, fed):
     clusters its metadata describes."""
     for p in request.getfixturevalue(fed).providers:
         assert p.evaluator.store.n_clusters() == p.meta.n_clusters
+
+
+@pytest.mark.parametrize("fed", ["adult_fed", "amazon_fed"])
+def test_federation_providers_in_order(request, fed):
+    """Providers are built concurrently but returned as provider_0..n-1,
+    each over its own store."""
+    providers = request.getfixturevalue(fed).providers
+    names = [f"provider_{i}" for i in range(len(providers))]
+    assert [p.name for p in providers] == names
+    for p, name in zip(providers, names):
+        assert p.evaluator.store.path.endswith(name)
+
+
+@pytest.mark.parametrize("fed", ["adult_fed", "amazon_fed"])
+def test_federation_metadata_equals_standalone_build(request, spark, fed):
+    """A concurrent build gives each provider the metadata that
+    ``build_metadata`` gives alone over that provider's store."""
+    for p in request.getfixturevalue(fed).providers:
+        alone = build_metadata(p.evaluator.store.read_all(spark), dims=p.meta.dims, S=p.meta.S)
+        np.testing.assert_array_equal(p.meta.cluster_ids, alone.cluster_ids)
+        for d in p.meta.dims:
+            np.testing.assert_array_equal(p.meta.geq[d], alone.geq[d])
+
+
+def test_federation_independent_of_arrow_setting(spark, tmp_path):
+    """A provider's table reaches Spark as a parquet file written by Arrow,
+    so the session's Arrow setting for pandas frames changes neither the
+    store's schema nor the metadata.
+
+    ``cluster_id`` is read back from the directory names, so its type is
+    inferred; every column stored in the parquet files is a long."""
+    tensor = adult_tensor(sf=0.0005, seed=5)
+    key = "spark.sql.execution.arrow.pyspark.enabled"
+    before = spark.conf.get(key)
+    feds = {}
+    try:
+        for arrow in ("true", "false"):
+            spark.conf.set(key, arrow)
+            feds[arrow] = build_federation(
+                spark, tensor, dims=list(ADULT_DIMS),
+                store_root=str(tmp_path / f"arrow_{arrow}"), n_providers=2, seed=3,
+            )
+    finally:
+        spark.conf.set(key, before)
+    on, off = (feds[a].providers for a in ("true", "false"))
+    for p, q in zip(on, off):
+        schema = p.evaluator.store.read_all(spark).schema
+        assert schema == q.evaluator.store.read_all(spark).schema
+        stored = [f for f in schema.fields if f.name != "cluster_id"]
+        assert [f.name for f in stored] == list(ADULT_DIMS) + ["measure"]
+        assert all(isinstance(f.dataType, LongType) for f in stored)
+        np.testing.assert_array_equal(p.meta.cluster_ids, q.meta.cluster_ids)
+        for d in ADULT_DIMS:
+            np.testing.assert_array_equal(p.meta.geq[d], q.meta.geq[d])
 
 
 class TestErrors:

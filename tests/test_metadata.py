@@ -4,8 +4,11 @@ from __future__ import annotations
 import numpy as np
 import pandas as pd
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from pyspark.sql import functions as F
 
-from repro.core.metadata import build_metadata
+from repro.core.metadata import ProviderMetadata, build_metadata
 from repro.synth_data import adult_tensor, assign_clusters
 
 DIMS = ["age", "education", "hours"]
@@ -27,6 +30,50 @@ def meta(clustered):
 
 def _row(meta, cid) -> int:
     return int(np.searchsorted(meta.cluster_ids, cid))
+
+
+def reference_build_metadata(df, *, dims: list[str], S: int) -> ProviderMetadata:
+    """Algorithm 1 as a union of one ``groupBy(cluster_id, value)`` per
+    dimension: the table is scanned once per dimension. The one-scan build
+    must give bit-identical metadata."""
+    stacked = None
+    for i, d in enumerate(dims):
+        part = (
+            df.groupBy("cluster_id", F.col(d).alias("value"))
+            .count()
+            .withColumn("dim", F.lit(i))
+        )
+        stacked = part if stacked is None else stacked.unionByName(part)
+    counts = stacked.toPandas()
+
+    cluster = counts["cluster_id"].to_numpy(dtype="int64")
+    cluster_ids = np.unique(cluster)
+    rows = np.searchsorted(cluster_ids, cluster)
+    dim_of = counts["dim"].to_numpy()
+    value = counts["value"].to_numpy(dtype="float64")
+    cnt = counts["count"].to_numpy(dtype="int64")
+    geq: dict[str, np.ndarray] = {}
+    for i, d in enumerate(dims):
+        sel = dim_of == i
+        v = value[sel]
+        assert ((v >= 0) & (v == np.floor(v))).all()
+        v = v.astype("int64")
+        hist = np.zeros((len(cluster_ids), int(v.max(initial=-1)) + 2), dtype="int32")
+        hist[rows[sel], v] = cnt[sel]
+        geq[d] = np.ascontiguousarray(hist[:, ::-1].cumsum(axis=1, dtype="int32")[:, ::-1])
+    return ProviderMetadata(S=int(S), dims=list(dims), cluster_ids=cluster_ids, geq=geq)
+
+
+def assert_bit_identical(got: ProviderMetadata, want: ProviderMetadata) -> None:
+    """Same S, dims, cluster ids and count matrices: values and dtypes."""
+    assert (got.S, got.dims) == (want.S, want.dims)
+    assert got.cluster_ids.dtype == want.cluster_ids.dtype
+    np.testing.assert_array_equal(got.cluster_ids, want.cluster_ids)
+    assert set(got.geq) == set(want.geq)
+    for d in want.dims:
+        assert got.geq[d].dtype == want.geq[d].dtype == np.int32, d
+        assert got.geq[d].shape == want.geq[d].shape, d
+        np.testing.assert_array_equal(got.geq[d], want.geq[d], err_msg=d)
 
 
 class TestStructure:
@@ -83,6 +130,41 @@ class TestStructure:
             sc.setLocalProperty("spark.jobGroup.id", None)
             spark.conf.set("spark.sql.adaptive.enabled", adaptive)
         assert len(sc.statusTracker().getJobIdsForGroup("test-build-metadata")) == 1
+
+
+class TestOneScanMatchesReference:
+    @pytest.mark.parametrize("fed", ["adult_fed", "amazon_fed"])
+    def test_fixture_federations(self, request, spark, fed):
+        """Every provider's metadata equals the union-of-groupBys build over
+        the same store."""
+        for p in request.getfixturevalue(fed).providers:
+            want = reference_build_metadata(
+                p.evaluator.store.read_all(spark), dims=p.meta.dims, S=p.meta.S
+            )
+            assert_bit_identical(p.meta, want)
+
+    @settings(max_examples=15, deadline=None)
+    @given(
+        rows=st.lists(
+            st.tuples(
+                st.integers(0, 5),  # cluster_id
+                st.integers(0, 9),  # a: integer column
+                st.integers(0, 6),  # b: double column holding integer codes
+                st.integers(0, 3),  # c: integer column
+            ),
+            min_size=1,
+            max_size=40,
+        )
+    )
+    def test_random_frames_with_a_double_dim(self, spark, rows):
+        pdf = pd.DataFrame(rows, columns=["cluster_id", "a", "b", "c"])
+        pdf["b"] = pdf["b"].astype("float64")
+        sdf = spark.createDataFrame(pdf)
+        dims = ["a", "b", "c"]
+        assert_bit_identical(
+            build_metadata(sdf, dims=dims, S=8),
+            reference_build_metadata(sdf, dims=dims, S=8),
+        )
 
 
 class TestRgeqValues:
