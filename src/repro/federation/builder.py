@@ -9,7 +9,8 @@ cluster-pruned parquet store, and run the offline metadata build
 The clusters are assigned on the driver first, provider by provider, so
 every random draw happens in a fixed order. The providers are then built
 concurrently, one thread each: every provider writes its own store and
-runs its own metadata job over it, as a separate party would.
+runs its own metadata job over it, as a separate party would. Once built,
+the store is the only copy of a provider's rows.
 """
 from __future__ import annotations
 
@@ -18,8 +19,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import pandas as pd
-import pyarrow as pa
-import pyarrow.parquet as pq
 from pyspark.sql import SparkSession
 
 from repro.clusterstore.store import ClusterStore
@@ -36,7 +35,6 @@ class Federation:
 
     aggregator: Aggregator
     tensor: pd.DataFrame  # the full (union) tensor, for oracle checks
-    local_frames: list[pd.DataFrame]  # per-provider clustered pandas frames
     S: int
 
     @property
@@ -44,13 +42,19 @@ class Federation:
         return self.aggregator.providers
 
     def with_pandas_evaluators(self) -> "Federation":
-        """Clone with driver-side evaluators (identical math, no Spark jobs
-        per query) — used by bulk harnesses like the Table-1 attack."""
+        """Clone with driver-side evaluators over each provider's store
+        (identical math, no Spark jobs per query) — used by bulk harnesses
+        like the Table-1 attack."""
         providers = [
-            DataProvider(p.name, n_min=p.n_min, metadata=p.meta, evaluator=PandasEvaluator(pdf))
-            for p, pdf in zip(self.providers, self.local_frames)
+            DataProvider(
+                p.name,
+                n_min=p.n_min,
+                metadata=p.meta,
+                evaluator=PandasEvaluator(p.evaluator.store.read_pandas()),
+            )
+            for p in self.providers
         ]
-        return Federation(Aggregator(providers), self.tensor, self.local_frames, self.S)
+        return Federation(Aggregator(providers), self.tensor, self.S)
 
 
 def build_federation(
@@ -82,24 +86,13 @@ def build_federation(
         sort_dim=sort_dim if partition_mode == "contiguous" else None,
     )
     S = max(2, int(round(cluster_frac * len(parts[0]))))
-    os.makedirs(store_root, exist_ok=True)
     local_frames = [
         assign_clusters(part, cluster_size=S, sort_dim=sort_dim, seed=seed + i)
         for i, part in enumerate(parts)
     ]
 
     def build_provider(i: int) -> DataProvider:
-        # The table reaches Spark as a parquet file written by Arrow. Spark
-        # streams it from disk, so concurrent builds hold no provider's rows
-        # in the driver heap, and the hand-off needs neither Python workers
-        # nor the session's Arrow setting.
-        path = os.path.join(store_root, f"provider_{i}")
-        staged = f"{path}.staged.parquet"
-        pq.write_table(pa.Table.from_pandas(local_frames[i], preserve_index=False), staged)
-        try:
-            store = ClusterStore.write(spark.read.parquet(staged), path)
-        finally:
-            os.remove(staged)
+        store = ClusterStore.write(local_frames[i], os.path.join(store_root, f"provider_{i}"))
         meta = build_metadata(store.read_all(spark), dims=dims, S=S)
         return DataProvider(
             f"provider_{i}",
@@ -110,4 +103,4 @@ def build_federation(
 
     with ThreadPoolExecutor(max_workers=len(parts)) as pool:
         providers = list(pool.map(build_provider, range(len(parts))))
-    return Federation(Aggregator(providers), tensor, local_frames, S)
+    return Federation(Aggregator(providers), tensor, S)

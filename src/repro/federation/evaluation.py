@@ -7,8 +7,8 @@ regardless of how ``Q(C)`` is physically computed. Two backends:
   aggregation over the provider's cluster-pruned parquet
   :class:`~repro.clusterstore.store.ClusterStore`. Q(C) reads only the
   sampled clusters' directories; the exact path scans the whole store.
-* :class:`PandasEvaluator` — a driver-side mirror over the provider's
-  clustered pandas frame, numerically identical (tests assert it). The
+* :class:`PandasEvaluator` — a driver-side mirror over the same store,
+  read into pandas by Arrow, numerically identical (tests assert it). The
   Table-1 attack answers through it, as it issues ~10^4 point queries per
   cell and one Spark job per query would take days; the *protocol* stays
   exactly the same.

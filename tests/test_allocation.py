@@ -6,7 +6,12 @@ import itertools
 import numpy as np
 import pytest
 
+from repro.core.query import COUNT, RangeQuery
 from repro.federation.allocation import solve_allocation
+
+# age <= 12 lives almost entirely in provider 0 of the age-partitioned
+# federation.
+SKEWED = RangeQuery(COUNT, {"age": (0, 12), "hours": (20, 60)})
 
 
 def brute_force_best(avg, caps, budget):
@@ -32,10 +37,23 @@ class TestOptimality:
         best = brute_force_best(avg, caps.tolist(), budget)
         assert got == pytest.approx(best), (avg, caps, s)
 
-    def test_highest_avg_gets_most(self):
-        s = solve_allocation(np.array([0.9, 0.1, 0.2]), np.array([50.0, 50, 50]), 0.2)
-        assert s[0] == max(s)
-        assert s[0] > s[1] and s[0] > s[2]
+    def test_highest_avg_gets_most(self, adult_fed):
+        """On a synthetic input, and on the true (Avg(R), N^Q) of a query
+        whose mass lies almost all in provider 0 (§4: the allocation
+        follows the data, where a uniform split would not)."""
+        ctxs = [p.prepare(SKEWED) for p in adult_fed.providers]
+        inputs = {
+            "synthetic": (np.array([0.9, 0.1, 0.2]), np.array([50.0, 50, 50]), 0.2),
+            "adult_skew": (
+                np.array([c.avg_r for c in ctxs]),
+                np.array([float(c.n_q) for c in ctxs]),
+                0.15,
+            ),
+        }
+        for name, (avg, n_q, sr) in inputs.items():
+            s = solve_allocation(avg, n_q, sr)
+            assert s[0] == max(s), name
+            assert (s[0] > s[1:]).all(), name
 
 
 class TestConstraints:

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import numpy as np
+import pandas as pd
 import pytest
 from pyspark.sql.types import LongType
 
@@ -19,7 +20,7 @@ def stored(spark, tmp_path_factory):
         adult_tensor(sf=0.0005, seed=2), cluster_size=100, sort_dim="age", seed=0
     )
     path = str(tmp_path_factory.mktemp("store") / "prov0")
-    store = ClusterStore.write(spark.createDataFrame(pdf), path)
+    store = ClusterStore.write(pdf, path)
     return pdf, store
 
 
@@ -37,6 +38,40 @@ class TestRoundtrip:
     def test_n_clusters_on_disk(self, stored):
         pdf, store = stored
         assert store.n_clusters() == pdf["cluster_id"].nunique()
+
+
+class TestWrite:
+    def test_overwrite_replaces_larger_store(self, spark, stored, tmp_path):
+        """Writing a few clusters over a larger store leaves only the new
+        clusters on disk, as an overwrite should."""
+        pdf, _ = stored
+        path = str(tmp_path / "prov")
+        ClusterStore.write(pdf, path)
+        small = pdf[pdf["cluster_id"] < 3]
+        store = ClusterStore.write(small, path)
+        assert store.n_clusters() == small["cluster_id"].nunique() == 3
+        assert store.read_all(spark).count() == len(small)
+
+    def test_submits_no_spark_jobs(self, spark, stored, tmp_path):
+        """Arrow writes the store on the driver; Spark only reads it."""
+        pdf, _ = stored
+        sc = spark.sparkContext
+        sc.setJobGroup("test-store-write", "store write job count")
+        try:
+            ClusterStore.write(pdf, str(tmp_path / "prov"))
+        finally:
+            sc.setLocalProperty("spark.jobGroup.id", None)
+        assert sc.statusTracker().getJobIdsForGroup("test-store-write") == []
+
+    def test_read_pandas_returns_the_rows(self, stored):
+        pdf, store = stored
+        got = store.read_pandas()
+        assert got["cluster_id"].dtype == "int64"
+        cols = list(pdf.columns)
+        pd.testing.assert_frame_equal(
+            got[cols].sort_values(cols, ignore_index=True),
+            pdf.sort_values(cols, ignore_index=True),
+        )
 
 
 class TestPrunedReads:

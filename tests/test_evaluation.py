@@ -40,10 +40,9 @@ class TestOracleOnSparkEvaluator:
     @pytest.mark.parametrize("agg", [COUNT, SUM])
     def test_provider_partition_result(self, spark, adult_fed, agg):
         q = RangeQuery(agg, {"age": (10, 50), "hours": (20, 70)})
-        local = adult_fed.local_frames[0]
-        sdf = spark.createDataFrame(local)
+        sdf = adult_fed.providers[0].evaluator.store.read_all(spark)
         got = sdf.filter(q.predicate()).agg(q.agg_column())
-        assert_equivalent(got, q.duckdb_sql("t"), t=local)
+        assert_equivalent(got, q.duckdb_sql("t"), t=sdf)
 
 
 class TestPandasEvaluatorEdges:

@@ -2,8 +2,11 @@
 DuckDB oracle, on both datasets, plus privacy-accounting invariants."""
 from __future__ import annotations
 
+from functools import reduce
+
 import numpy as np
 import pytest
+from pyspark.sql import DataFrame
 
 from repro.core.query import COUNT, SUM, RangeQuery
 from repro.dp.accountant import split_budget
@@ -12,27 +15,27 @@ from repro.workloads import qualifying_workload
 from repro.synth_data import ADULT_DIMS, AMAZON_DIMS
 
 
+def union_of_stores(spark, fed):
+    """Every provider's rows, read from its cluster store by Spark."""
+    frames = [p.evaluator.store.read_all(spark) for p in fed.providers]
+    return reduce(DataFrame.unionByName, frames).drop("cluster_id")
+
+
 class TestFederatedExactnessOracle:
-    """The union of provider partitions must answer exactly like DuckDB
-    over the full tensor — partitioning/clustering loses nothing."""
+    """The union of provider stores must answer exactly like DuckDB over
+    the full tensor — partitioning/clustering/storage loses nothing."""
 
     @pytest.mark.parametrize("agg", [COUNT, SUM])
     def test_adult(self, spark, adult_fed, agg):
         q = RangeQuery(agg, {"age": (10, 50), "education": (2, 12)})
-        import pandas as pd
-
-        union = pd.concat(adult_fed.local_frames).drop(columns=["cluster_id"])
-        sdf = spark.createDataFrame(union)
+        sdf = union_of_stores(spark, adult_fed)
         got = sdf.filter(q.predicate()).agg(q.agg_column())
         assert_equivalent(got, q.duckdb_sql("t"), t=adult_fed.tensor)
 
     @pytest.mark.parametrize("agg", [COUNT, SUM])
     def test_amazon(self, spark, amazon_fed, agg):
         q = RangeQuery(agg, {"rating": (2, 4), "month": (30, 90)})
-        import pandas as pd
-
-        union = pd.concat(amazon_fed.local_frames).drop(columns=["cluster_id"])
-        sdf = spark.createDataFrame(union)
+        sdf = union_of_stores(spark, amazon_fed)
         got = sdf.filter(q.predicate()).agg(q.agg_column())
         assert_equivalent(got, q.duckdb_sql("t"), t=amazon_fed.tensor)
 

@@ -72,7 +72,7 @@ class TestSummarize:
 class TestExactPath:
     def test_exact_matches_pandas(self, adult_fed):
         p = adult_fed.providers[0]
-        local = adult_fed.local_frames[0]
+        local = p.evaluator.store.read_pandas()
         mask = local["age"].between(5, 60) & local["education"].between(0, 14)
         assert p.exact(Q_WIDE) == float(mask.sum())
 
