@@ -6,12 +6,14 @@ private query interface to learn the NBC statistics
     ŷ = argmax_y P(y) · Π_i P(v_i | y) / P(v_i)
 
 for a sensitive dimension ``SA`` given quasi-identifier dimensions ``QI``,
-then predicts SA for every row of the original tensor. The number of
+then predicts SA for every row the providers hold. The number of
 queries is ``nQueries = 1 + |SA| + |SA|·Σ_d |QI_d|`` (table size, class
 marginals, class-conditional counts). Budget modes follow the paper:
 ``sequential`` (ε = ξ/nQ), ``advanced`` (ε = ξ/(2√(2·nQ·ln(1/δ)))) and
 ``coalition`` (parallel composition — every colluding analyst spends the
-full ξ on a single query).
+full ξ on a single query). Any ``RangeQuery -> float`` answers the
+workload: a private aggregator's released value, or ``Aggregator.exact`` for
+the non-private ceiling.
 """
 from __future__ import annotations
 
@@ -63,7 +65,7 @@ def per_query_eps(mode: str, xi: float, n_queries: int, psi: float) -> tuple[flo
     raise ValueError(f"unknown composition mode: {mode}")
 
 
-def _point(agg: str, spec_dims: dict[str, int], **fixed: int) -> RangeQuery:
+def _point(agg: str, **fixed: int) -> RangeQuery:
     return RangeQuery(agg, {d: (v, v) for d, v in fixed.items()})
 
 
@@ -96,7 +98,7 @@ def train_nbc(spec: AttackSpec, answer: AnswerFn, *, agg: str = COUNT) -> Traine
 
     sa_counts = np.array(
         [
-            max(answer(_point(agg, spec.domains, **{spec.sa_dim: y})), _COUNT_FLOOR)
+            max(answer(_point(agg, **{spec.sa_dim: y})), _COUNT_FLOOR)
             for y in range(spec.sa_domain)
         ]
     )
@@ -108,7 +110,7 @@ def train_nbc(spec: AttackSpec, answer: AnswerFn, *, agg: str = COUNT) -> Traine
         for y in range(spec.sa_domain):
             for v in range(spec.domains[d]):
                 joint[v, y] = max(
-                    answer(_point(agg, spec.domains, **{spec.sa_dim: y, d: v})),
+                    answer(_point(agg, **{spec.sa_dim: y, d: v})),
                     _COUNT_FLOOR,
                 )
         cond = joint / sa_counts[None, :]  # P(v | y)
@@ -116,14 +118,3 @@ def train_nbc(spec: AttackSpec, answer: AnswerFn, *, agg: str = COUNT) -> Traine
         log_lift[d] = np.log(cond) - np.log(np.maximum(marg, _COUNT_FLOOR / size))
     return TrainedNBC(spec=spec, log_prior=log_prior, log_lift=log_lift)
 
-
-def exact_answer_fn(tensor: pd.DataFrame) -> AnswerFn:
-    """Non-private oracle answers — the sanity ceiling for attack accuracy."""
-
-    def fn(q: RangeQuery) -> float:
-        mask = q.mask(tensor)
-        if q.agg == COUNT:
-            return float(mask.sum())
-        return float(tensor.loc[mask, "measure"].sum())
-
-    return fn

@@ -21,13 +21,3 @@ def hansen_hurwitz(q_values: np.ndarray, p_values: np.ndarray) -> float:
         raise ValueError("sampling probabilities must be positive")
     return float(np.mean(q / p))
 
-
-def hansen_hurwitz_variance(q_values: np.ndarray, p_values: np.ndarray) -> float:
-    """Unbiased with-replacement variance estimate of the HH estimator."""
-    q = np.asarray(q_values, dtype="float64")
-    p = np.asarray(p_values, dtype="float64")
-    s = len(q)
-    if s < 2:
-        return 0.0
-    terms = q / p
-    return float(np.var(terms, ddof=1) / s)

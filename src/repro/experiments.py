@@ -18,6 +18,7 @@ from dataclasses import dataclass, field, replace
 from statistics import mean
 
 import numpy as np
+import pandas as pd
 from pyspark.sql import SparkSession
 
 from repro.attack.nbc import AttackSpec, per_query_eps, train_nbc
@@ -42,7 +43,7 @@ def _cell(
     """Mean relative error + speed-up of the private protocol over a
     workload, against the exact plain-text execution."""
     rng = np.random.default_rng(seed)
-    rel_errs, speedups, noises = [], [], []
+    rel_errs, speedups = [], []
     for q in queries:
         t0 = time.perf_counter()
         exact = fed.aggregator.exact(q)
@@ -52,13 +53,7 @@ def _cell(
         )
         rel_errs.append(abs(ans.value - exact) / max(abs(exact), 1.0))
         speedups.append(exact_s / max(ans.seconds, 1e-9))
-        noises.append(ans.noise)
-    return {
-        "rel_err": mean(rel_errs),
-        "speedup": mean(speedups),
-        "noise_lo": min(noises),
-        "noise_hi": max(noises),
-    }
+    return {"rel_err": mean(rel_errs), "speedup": mean(speedups)}
 
 
 def dimension_sweep(
@@ -202,7 +197,7 @@ def smc_cost_simulation(
     n_cols = len(dims) + 1  # dims + measure
     rows = []
     for qi, q in enumerate(ws):
-        matching_rows = int(sum(p.exact(q) for p in fed.providers))
+        matching_rows = int(fed.aggregator.exact(q))
         env = SMCEnvironment(n_parties=len(fed.providers), rng=np.random.default_rng(seed))
         t_rows = env.share_rows_cost(matching_rows, n_cols)
         t_results = env.share_results_cost()
@@ -228,17 +223,18 @@ def attack_table(
     modes: tuple[str, ...] = ("sequential", "advanced", "coalition"),
     aggs: tuple[str, ...] = (COUNT, SUM),
     seed: int = 0,
-    include_no_privacy_ceiling: bool = True,
 ) -> list[dict]:
     """Table 1: NBC inference accuracy per composition mode / agg / ξ.
 
     Answers are issued through the full protocol on ``fed``'s pandas
     mirror (numerically identical, and feasible for ~10^4 queries per cell,
-    where one Spark job per query is not). Optionally appends the
-    non-private ceiling row (exact answers) showing the attack does work
-    without DP.
+    where one Spark job per query is not). Accuracy is scored on the rows
+    the providers hold, as the mirror read them. The last row is the
+    non-private ceiling, trained on the mirror's exact answers, showing the
+    attack does work without DP.
     """
     mirror = fed.with_pandas_evaluators()
+    target = pd.concat([p.evaluator.pdf for p in mirror.providers], ignore_index=True)
     rows = []
     nq = spec.n_queries
     t0 = time.perf_counter()
@@ -255,17 +251,12 @@ def attack_table(
                     ).value
 
                 nbc = train_nbc(spec, answer, agg=agg)
-                accs[f"xi={xi:g}"] = nbc.accuracy(fed.tensor)
+                accs[f"xi={xi:g}"] = nbc.accuracy(target)
             rows.append({"mode": mode, "agg": agg, **accs})
-    if include_no_privacy_ceiling:
-        from repro.attack.nbc import exact_answer_fn
-
-        nbc = train_nbc(spec, exact_answer_fn(fed.tensor), agg=COUNT)
-        acc = nbc.accuracy(fed.tensor)
-        rows.append(
-            {"mode": "no-privacy (ceiling)", "agg": COUNT}
-            | {f"xi={xi:g}": acc for xi in xi_list}
-        )
+    acc = train_nbc(spec, mirror.aggregator.exact, agg=COUNT).accuracy(target)
+    rows.append(
+        {"mode": "no-privacy (ceiling)", "agg": COUNT} | {f"xi={xi:g}": acc for xi in xi_list}
+    )
     rows.append({"mode": f"(total {time.perf_counter() - t0:.0f}s)", "agg": ""})
     return rows
 
@@ -278,7 +269,7 @@ def metadata_footprint(fed: Federation) -> list[dict]:
     return [
         {
             "clusters": clusters,
-            "S": fed.S,
+            "S": fed.providers[0].meta.S,
             "metadata_mb": round(total / 1024**2, 3),
             "kb_per_cluster": round(total / 1024 / clusters, 3),
         }
@@ -509,7 +500,8 @@ def run(artifact: Artifact, federations: dict[str, Federation]) -> list[list[dic
         rows = []
         for call in table.calls:
             spec, fed = FEDERATIONS[call.federation], federations[call.federation]
-            facts = {"dataset": f"{spec.dataset}-lite", "sf": spec.sf, "tensor_rows": len(fed.tensor)}
+            tensor_rows = int(sum(p.meta.n_rows.sum() for p in fed.providers))
+            facts = {"dataset": f"{spec.dataset}-lite", "sf": spec.sf, "tensor_rows": tensor_rows}
             rows += [facts | call.label | r for r in call.driver(fed, **call.kwargs)]
         tables.append(rows)
     return tables

@@ -10,7 +10,9 @@ The clusters are assigned on the driver first, provider by provider, so
 every random draw happens in a fixed order. The providers are then built
 concurrently, one thread each: every provider writes its own store and
 runs its own metadata job over it, as a separate party would. Once built,
-the store is the only copy of a provider's rows.
+the store is the only copy of a provider's rows, and the :class:`Federation`
+keeps only the aggregator: S and the row counts are in each provider's
+metadata.
 """
 from __future__ import annotations
 
@@ -31,11 +33,10 @@ from repro.synth_data import assign_clusters, partition_providers
 
 @dataclass
 class Federation:
-    """A ready-to-query federated environment."""
+    """A ready-to-query federated environment: the aggregator over its
+    providers, and no copy of their rows."""
 
     aggregator: Aggregator
-    tensor: pd.DataFrame  # the full (union) tensor, for oracle checks
-    S: int
 
     @property
     def providers(self) -> list[DataProvider]:
@@ -54,7 +55,7 @@ class Federation:
             )
             for p in self.providers
         ]
-        return Federation(Aggregator(providers), self.tensor, self.S)
+        return Federation(Aggregator(providers))
 
 
 def build_federation(
@@ -66,7 +67,6 @@ def build_federation(
     n_providers: int = 4,
     cluster_frac: float = 0.01,
     n_min: int = 10,
-    sort_dim: str | None = None,
     partition_mode: str = "contiguous",
     seed: int = 0,
 ) -> Federation:
@@ -75,9 +75,10 @@ def build_federation(
     ``cluster_frac`` sets the agreed cluster size S as a fraction of one
     provider's rows (the paper uses 1% for Adult, 0.5% for Amazon Review).
     Each provider is persisted as a partitioned parquet :class:`ClusterStore`
-    under ``store_root``, so approximate queries do pruned I/O.
+    under ``store_root``, so approximate queries do pruned I/O. Rows are
+    partitioned and clustered in the order of the first dimension, ``dims[0]``.
     """
-    sort_dim = sort_dim or dims[0]
+    sort_dim = dims[0]
     parts = partition_providers(
         tensor,
         n_providers=n_providers,
@@ -103,4 +104,4 @@ def build_federation(
 
     with ThreadPoolExecutor(max_workers=len(parts)) as pool:
         providers = list(pool.map(build_provider, range(len(parts))))
-    return Federation(Aggregator(providers), tensor, S)
+    return Federation(Aggregator(providers))

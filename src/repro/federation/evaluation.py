@@ -11,7 +11,9 @@ regardless of how ``Q(C)`` is physically computed. Two backends:
   read into pandas by Arrow, numerically identical (tests assert it). The
   Table-1 attack answers through it, as it issues ~10^4 point queries per
   cell and one Spark job per query would take days; the *protocol* stays
-  exactly the same.
+  exactly the same. Its exact path sums under one row mask and copies no
+  rows, so the mirror's ``Aggregator.exact`` is also Table 1's non-private
+  ceiling.
 """
 from __future__ import annotations
 
@@ -60,8 +62,10 @@ class PandasEvaluator:
         self.pdf = pdf
 
     def total(self, query: RangeQuery) -> float:
-        sub = self.pdf[query.mask(self.pdf)]
-        return float(len(sub)) if query.agg == COUNT else float(sub["measure"].sum())
+        mask = query.mask(self.pdf)
+        if query.agg == COUNT:
+            return float(mask.sum())
+        return float(self.pdf["measure"].to_numpy()[mask].sum())
 
     def per_cluster(self, query: RangeQuery, cluster_ids: np.ndarray) -> dict[int, float]:
         wanted = set(int(c) for c in np.asarray(cluster_ids).tolist())

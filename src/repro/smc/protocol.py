@@ -4,7 +4,7 @@ The paper's SMC option (MPyC over a LAN) is replaced by in-process additive
 secret sharing (real share arithmetic, see :mod:`repro.smc.shares`) plus an
 explicit network cost model, because the container has neither MPyC nor a
 network. The model charges per-message latency and per-byte transfer time;
-its defaults are calibrated so that *result-sharing* costs ≈ 0.04 s for 4
+its constants are calibrated so that *result-sharing* costs ≈ 0.04 s for 4
 providers (the constant the paper reports in Fig 1) and *row-sharing* costs
 grow linearly with the number of shared rows (~440× slower on the
 simulated Adult table), preserving the cost shape the paper demonstrates.
@@ -16,7 +16,7 @@ the experiments, the privacy argument for max is the paper's, not ours.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,17 +25,15 @@ from repro.smc import shares as sh
 #: Bytes per shared field element on the wire.
 _ELEMENT_BYTES = 8
 
+# The simulated LAN.
+_LATENCY_PER_MESSAGE_S = 2.4e-3  # ~LAN round-trip + MPC framing
+_SECONDS_PER_BYTE = 9e-9  # ~1 Gbps with protocol overhead
+_SECONDS_PER_COMPARISON = 1.2e-3  # secure comparison sub-protocol
 
-@dataclass
-class SMCCostModel:
-    """Per-message latency and per-byte cost of the simulated LAN."""
 
-    latency_per_message_s: float = 2.4e-3  # ~LAN round-trip + MPC framing
-    seconds_per_byte: float = 9e-9  # ~1 Gbps with protocol overhead
-    seconds_per_comparison: float = 1.2e-3  # secure comparison sub-protocol
-
-    def transfer(self, n_messages: int, n_bytes: int) -> float:
-        return n_messages * self.latency_per_message_s + n_bytes * self.seconds_per_byte
+def transfer(n_messages: int, n_bytes: int) -> float:
+    """Simulated seconds to send ``n_messages`` carrying ``n_bytes`` in all."""
+    return n_messages * _LATENCY_PER_MESSAGE_S + n_bytes * _SECONDS_PER_BYTE
 
 
 @dataclass
@@ -44,7 +42,6 @@ class SMCEnvironment:
 
     n_parties: int
     rng: np.random.Generator
-    cost: SMCCostModel = field(default_factory=SMCCostModel)
     simulated_seconds: float = 0.0
 
     def _charge(self, seconds: float) -> None:
@@ -61,7 +58,7 @@ class SMCEnvironment:
             acc = sh.add_shares(acc, vec)
         # messages: each party sends n-1 shares out + n partial sums to agg
         n_msg = self.n_parties * (self.n_parties - 1) + self.n_parties
-        self._charge(self.cost.transfer(n_msg, n_msg * _ELEMENT_BYTES))
+        self._charge(transfer(n_msg, n_msg * _ELEMENT_BYTES))
         return sh.reconstruct(acc)
 
     def secure_max(self, values: list[float]) -> float:
@@ -72,9 +69,9 @@ class SMCEnvironment:
         while len(current) > 1:
             nxt = []
             for i in range(0, len(current) - 1, 2):
-                self._charge(self.cost.seconds_per_comparison)
+                self._charge(_SECONDS_PER_COMPARISON)
                 n_msg = 2 * self.n_parties
-                self._charge(self.cost.transfer(n_msg, n_msg * _ELEMENT_BYTES))
+                self._charge(transfer(n_msg, n_msg * _ELEMENT_BYTES))
                 nxt.append(max(current[i], current[i + 1]))
             if len(current) % 2:
                 nxt.append(current[-1])
@@ -86,7 +83,7 @@ class SMCEnvironment:
         secret-shared to all others (the expensive baseline of Fig 1)."""
         elements = n_rows * n_cols * (self.n_parties - 1)
         n_msg = self.n_parties * (self.n_parties - 1) * max(1, n_rows // 1024)
-        t = self.cost.transfer(n_msg, elements * _ELEMENT_BYTES)
+        t = transfer(n_msg, elements * _ELEMENT_BYTES)
         # per-element share-split arithmetic, measured cheaply in bulk
         t += elements * 1.5e-7
         self._charge(t)

@@ -105,20 +105,19 @@ def assign_clusters(
     *,
     cluster_size: int,
     sort_dim: str,
-    jitter: float = 0.15,
     seed: int = 0,
 ) -> pd.DataFrame:
     """Assign rows to fixed-size clusters with value locality.
 
     Real storage pages correlate with insertion order, which correlates
     with attribute values (e.g. time). We sort by ``sort_dim`` plus
-    Gaussian jitter (fraction of the domain span) and chunk into clusters
+    Gaussian jitter (15% of the domain span) and chunk into clusters
     of ``cluster_size`` rows, yielding the skewed per-cluster proportions
     that make distribution-aware (PPS) sampling beat uniform sampling.
     """
     g = _rng(seed)
     span = max(1.0, float(pdf[sort_dim].max() - pdf[sort_dim].min()))
-    key = pdf[sort_dim].to_numpy() + g.normal(0, jitter * span, len(pdf))
+    key = pdf[sort_dim].to_numpy() + g.normal(0, 0.15 * span, len(pdf))
     order = np.argsort(key, kind="stable")
     out = pdf.iloc[order].reset_index(drop=True).copy()
     out["cluster_id"] = (np.arange(len(out)) // cluster_size).astype("int64")
@@ -132,15 +131,14 @@ def partition_providers(
     mode: str = "contiguous",
     seed: int = 0,
     sort_dim: str | None = None,
-    jitter: float = 0.5,
 ) -> list[pd.DataFrame]:
     """Horizontally partition a tensor into equal-size provider tables.
 
     ``contiguous`` with a ``sort_dim`` orders rows by that dimension plus
-    Gaussian jitter before chunking, so providers hold overlapping but
-    distinct slices of the value space — the cross-provider skew the
-    allocation phase (Eq 6) is designed to exploit. ``random`` shuffles
-    rows first (providers become statistically identical).
+    Gaussian jitter (half its span) before chunking, so providers hold
+    overlapping but distinct slices of the value space — the cross-provider
+    skew the allocation phase (Eq 6) is designed to exploit. ``random``
+    shuffles rows first (providers become statistically identical).
     """
     if mode not in ("contiguous", "random"):
         raise ValueError(f"unknown partition mode: {mode}")
@@ -149,7 +147,7 @@ def partition_providers(
     elif sort_dim is not None:
         g = _rng(seed)
         span = max(1.0, float(pdf[sort_dim].max() - pdf[sort_dim].min()))
-        key = pdf[sort_dim].to_numpy() + g.normal(0, jitter * span, len(pdf))
+        key = pdf[sort_dim].to_numpy() + g.normal(0, 0.5 * span, len(pdf))
         pdf = pdf.iloc[np.argsort(key, kind="stable")].reset_index(drop=True)
     bounds = np.linspace(0, len(pdf), n_providers + 1).astype(int)
     return [

@@ -13,9 +13,9 @@ Q = RangeQuery(COUNT, {"age": (5, 60), "education": (0, 14)})
 
 class TestExactFederated:
     @pytest.mark.parametrize("agg", [COUNT, SUM])
-    def test_matches_duckdb_oracle(self, adult_fed, agg):
+    def test_matches_duckdb_oracle(self, adult_fed, adult_pdf, agg):
         q = RangeQuery(agg, {"age": (10, 50), "hours": (20, 70)})
-        assert adult_fed.aggregator.exact(q) == oracle_value(adult_fed.tensor, q)
+        assert adult_fed.aggregator.exact(q) == oracle_value(adult_pdf, q)
 
     def test_sum_over_providers_is_union(self, adult_fed):
         parts = sum(p.exact(Q) for p in adult_fed.providers)
@@ -32,10 +32,10 @@ class TestAnswer:
         assert len(ans.local_results) == 4
         assert ans.seconds > 0
 
-    def test_estimate_pre_noise_tracks_oracle(self, adult_fed_pandas):
+    def test_estimate_pre_noise_tracks_oracle(self, adult_fed_pandas, adult_pdf):
         """Σ local estimates (before release noise) must approximate the
         DuckDB oracle answer — the sampling machinery itself is sound."""
-        truth = oracle_value(adult_fed_pandas.tensor, Q)
+        truth = oracle_value(adult_pdf, Q)
         rng = np.random.default_rng(5)
         pre_noise = []
         for _ in range(15):
@@ -45,8 +45,8 @@ class TestAnswer:
             pre_noise.append(sum(lr.estimate for lr in ans.local_results))
         assert np.mean(pre_noise) == pytest.approx(truth, rel=0.2)
 
-    def test_high_eps_answer_close_to_truth(self, adult_fed_pandas):
-        truth = oracle_value(adult_fed_pandas.tensor, Q)
+    def test_high_eps_answer_close_to_truth(self, adult_fed_pandas, adult_pdf):
+        truth = oracle_value(adult_pdf, Q)
         rng = np.random.default_rng(6)
         vals = [
             adult_fed_pandas.aggregator.answer(

@@ -6,7 +6,6 @@ import pytest
 
 from repro.attack.nbc import (
     AttackSpec,
-    exact_answer_fn,
     per_query_eps,
     train_nbc,
 )
@@ -61,24 +60,24 @@ class TestNBCOnExactAnswers:
     attack must beat random guessing — otherwise Table 1's < 1% result
     would be vacuous."""
 
-    def test_beats_random(self, adult_pdf, spec):
-        nbc = train_nbc(spec, exact_answer_fn(adult_pdf))
+    def test_beats_random(self, adult_pdf, adult_fed_pandas, spec):
+        nbc = train_nbc(spec, adult_fed_pandas.aggregator.exact)
         acc = nbc.accuracy(adult_pdf)
         assert acc > 2.5 / spec.sa_domain  # > 2.5x random (random = 1%)
 
-    def test_prediction_shape(self, adult_pdf, spec):
-        nbc = train_nbc(spec, exact_answer_fn(adult_pdf))
+    def test_prediction_shape(self, adult_pdf, adult_fed_pandas, spec):
+        nbc = train_nbc(spec, adult_fed_pandas.aggregator.exact)
         preds = nbc.predict(adult_pdf.head(100))
         assert preds.shape == (100,)
         assert ((preds >= 0) & (preds < 100)).all()
 
 
 class TestNBCOnNoisyAnswers:
-    def test_heavy_noise_kills_attack(self, adult_pdf, spec):
+    def test_heavy_noise_kills_attack(self, adult_pdf, adult_fed_pandas, spec):
         """With noise far above the signal the classifier must fall to
         random-guessing accuracy (the Table 1 phenomenon)."""
         rng = np.random.default_rng(0)
-        exact = exact_answer_fn(adult_pdf)
+        exact = adult_fed_pandas.aggregator.exact
 
         def noisy(q: RangeQuery) -> float:
             return exact(q) + rng.laplace(0, 10_000.0)
@@ -99,12 +98,12 @@ class TestNBCOnNoisyAnswers:
 
 
 class TestAnswerCounting:
-    def test_query_budget_matches_formula(self, adult_pdf):
+    def test_query_budget_matches_formula(self, adult_fed_pandas):
         spec = AttackSpec(
             sa_dim="sex", qi_dims=("workclass",), domains={"sex": 2, "workclass": 9}
         )
         calls = {"n": 0}
-        exact = exact_answer_fn(adult_pdf)
+        exact = adult_fed_pandas.aggregator.exact
 
         def counting(q: RangeQuery) -> float:
             calls["n"] += 1

@@ -4,7 +4,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.estimator import hansen_hurwitz, hansen_hurwitz_variance
+from repro.core.estimator import hansen_hurwitz
 
 
 class TestHansenHurwitz:
@@ -51,20 +51,3 @@ class TestHansenHurwitz:
         with pytest.raises(ValueError):
             hansen_hurwitz(np.array([1.0, 2.0]), np.array([0.5]))
 
-
-class TestVariance:
-    def test_zero_for_single_draw(self):
-        assert hansen_hurwitz_variance(np.array([5.0]), np.array([0.5])) == 0.0
-
-    def test_zero_for_constant_terms(self):
-        q = np.array([10.0, 20.0])
-        p = np.array([0.25, 0.5])  # q/p constant = 40
-        assert hansen_hurwitz_variance(q, p) == pytest.approx(0.0)
-
-    def test_shrinks_with_sample_size(self):
-        rng = np.random.default_rng(1)
-        q = rng.random(100) * 50
-        p = np.full(100, 1 / 100)
-        small = hansen_hurwitz_variance(q[:10], p[:10])
-        large = hansen_hurwitz_variance(q, p)
-        assert large < small

@@ -123,7 +123,6 @@ class TestAttackTable:
         rows = attack_table(
             adult_fed, tiny_spec, xi_list=[1.0, 50.0], seed=9,
             modes=("sequential",), aggs=(COUNT,),
-            include_no_privacy_ceiling=True,
         )
         modes = [r["mode"] for r in rows]
         assert "sequential" in modes
@@ -133,13 +132,11 @@ class TestAttackTable:
         assert 0 <= seq["xi=1"] <= 1
 
     def test_all_modes_run(self, adult_fed, tiny_spec):
-        rows = attack_table(
-            adult_fed, tiny_spec, xi_list=[10.0], seed=10,
-            include_no_privacy_ceiling=False,
-        )
-        modes = {r["mode"] for r in rows if r["agg"]}
+        rows = attack_table(adult_fed, tiny_spec, xi_list=[10.0], seed=10)
+        private = [r for r in rows if r["agg"] and not r["mode"].startswith("no-privacy")]
+        modes = {r["mode"] for r in private}
         assert modes == {"sequential", "advanced", "coalition"}
-        assert len([r for r in rows if r["agg"]]) == 6  # 3 modes × 2 aggs
+        assert len(private) == 6  # 3 modes × 2 aggs
 
     def test_submits_no_spark_jobs(self, spark, adult_fed, tiny_spec):
         """Table 1 answers through the pandas mirror, on a store-backed
@@ -186,11 +183,12 @@ class TestRegistry:
         for artifact in ARTIFACTS.values():
             assert set(artifact.federations) <= FEDERATIONS.keys()
 
-    def test_run_renders_registered_columns(self, adult_fed_pandas):
+    def test_run_renders_registered_columns(self, adult_fed_pandas, adult_pdf):
         """fig1's registered call, on the unit-scale federation."""
         artifact = ARTIFACTS["fig1"]
         tables = run(artifact, {"adult": adult_fed_pandas})
         assert [len(rows) for rows in tables] == [5]
+        assert all(r["tensor_rows"] == len(adult_pdf) for r in tables[0])
         header = render(artifact, tables).splitlines()[0]
         assert header == "| " + " | ".join(artifact.tables[0].columns) + " |"
 

@@ -26,32 +26,32 @@ class TestFederatedExactnessOracle:
     the full tensor — partitioning/clustering/storage loses nothing."""
 
     @pytest.mark.parametrize("agg", [COUNT, SUM])
-    def test_adult(self, spark, adult_fed, agg):
+    def test_adult(self, spark, adult_fed, adult_pdf, agg):
         q = RangeQuery(agg, {"age": (10, 50), "education": (2, 12)})
         sdf = union_of_stores(spark, adult_fed)
         got = sdf.filter(q.predicate()).agg(q.agg_column())
-        assert_equivalent(got, q.duckdb_sql("t"), t=adult_fed.tensor)
+        assert_equivalent(got, q.duckdb_sql("t"), t=adult_pdf)
 
     @pytest.mark.parametrize("agg", [COUNT, SUM])
-    def test_amazon(self, spark, amazon_fed, agg):
+    def test_amazon(self, spark, amazon_fed, amazon_pdf, agg):
         q = RangeQuery(agg, {"rating": (2, 4), "month": (30, 90)})
         sdf = union_of_stores(spark, amazon_fed)
         got = sdf.filter(q.predicate()).agg(q.agg_column())
-        assert_equivalent(got, q.duckdb_sql("t"), t=amazon_fed.tensor)
+        assert_equivalent(got, q.duckdb_sql("t"), t=amazon_pdf)
 
 
 class TestWorkloadAccuracy:
     """Protocol-level accuracy on random qualifying workloads (pre-noise
     estimates, so the check isolates the sampling machinery)."""
 
-    def test_adult_workload_mean_error(self, adult_fed_pandas):
+    def test_adult_workload_mean_error(self, adult_fed_pandas, adult_pdf):
         ws = qualifying_workload(
             ADULT_DIMS, adult_fed_pandas.providers, m=6, n_dims=2, seed=4
         )
         rng = np.random.default_rng(9)
         errs = []
         for q in ws:
-            truth = oracle_value(adult_fed_pandas.tensor, q)
+            truth = oracle_value(adult_pdf, q)
             ans = adult_fed_pandas.aggregator.answer(
                 q, sampling_rate=0.3, eps=50.0, delta=1e-3, rng=rng
             )
@@ -59,13 +59,13 @@ class TestWorkloadAccuracy:
             errs.append(abs(pre - truth) / max(truth, 1))
         assert np.mean(errs) < 0.35
 
-    def test_amazon_workload_mean_error(self, amazon_fed):
+    def test_amazon_workload_mean_error(self, amazon_fed, amazon_pdf):
         fed = amazon_fed.with_pandas_evaluators()
         ws = qualifying_workload(AMAZON_DIMS, fed.providers, m=6, n_dims=2, seed=5)
         rng = np.random.default_rng(10)
         errs = []
         for q in ws:
-            truth = oracle_value(fed.tensor, q)
+            truth = oracle_value(amazon_pdf, q)
             ans = fed.aggregator.answer(
                 q, sampling_rate=0.3, eps=50.0, delta=1e-3, rng=rng
             )
@@ -77,10 +77,10 @@ class TestWorkloadAccuracy:
 
 
 class TestDPTrends:
-    def test_error_decreases_with_eps(self, adult_fed_pandas):
+    def test_error_decreases_with_eps(self, adult_fed_pandas, adult_pdf):
         """The Fig 6 trend: larger ε ⇒ smaller released-answer error."""
         q = RangeQuery(COUNT, {"age": (5, 60), "education": (0, 14)})
-        truth = oracle_value(adult_fed_pandas.tensor, q)
+        truth = oracle_value(adult_pdf, q)
         rng = np.random.default_rng(11)
 
         def mean_err(eps):

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.smc import shares as sh
-from repro.smc.protocol import SMCCostModel, SMCEnvironment
+from repro.smc.protocol import SMCEnvironment, transfer
 
 
 class TestFixedPoint:
@@ -113,5 +113,4 @@ class TestCostShape:
         assert rows_t / result_t > 100
 
     def test_transfer_model_monotone(self):
-        cm = SMCCostModel()
-        assert cm.transfer(10, 1000) > cm.transfer(5, 1000) > cm.transfer(5, 10)
+        assert transfer(10, 1000) > transfer(5, 1000) > transfer(5, 10)
