@@ -29,6 +29,17 @@ from repro.smc.protocol import SMCEnvironment
 from repro.synth_data import ADULT_DIMS, AMAZON_DIMS, adult_tensor, amazon_tensor
 from repro.workloads import qualifying_workload
 
+# Protocol settings that no registered artifact varies.
+_EPS_FIXED = 1.0  # ε per query where ε is not the swept axis
+_DELTA = 1e-3  # δ per query
+# The sweeps' random ranges span at least this share of each domain, so that
+# high-dimension answers stay above the noise floor — the regime the paper's
+# reported error bands imply (its 4M/924M-row tables with ≤ 17% error at n=7
+# require range products far above #clusters-scale noise).
+_MIN_WIDTH_FRAC = 0.3
+_PSI = 1e-6  # Table 1's total δ budget ψ, split evenly over the attack queries
+_ATTACK_SR = 0.1  # Table 1's sampling rate
+
 
 def _cell(
     fed: Federation,
@@ -63,26 +74,17 @@ def dimension_sweep(
     n_dims_list: list[int],
     m: int,
     sr: float,
-    eps: float = 1.0,
-    delta: float = 1e-3,
     seed: int = 0,
-    min_width_frac: float = 0.3,
 ) -> list[dict]:
-    """Fig 4 (+ Fig 7 dims axis): error/speed-up vs #query dimensions.
-
-    ``min_width_frac`` keeps random ranges wide enough that high-dimension
-    answers stay above the noise floor — the regime the paper's reported
-    error bands imply (its 4M/924M-row tables with ≤ 17% error at n=7
-    require range products far above #clusters-scale noise).
-    """
+    """Fig 4 (+ Fig 7 dims axis): error/speed-up vs #query dimensions."""
     rows = []
     for n in n_dims_list:
         for agg in (COUNT, SUM):
             ws = qualifying_workload(
                 dims, fed.providers, m=m, n_dims=n, agg=agg, seed=seed + n,
-                min_width_frac=min_width_frac,
+                min_width_frac=_MIN_WIDTH_FRAC,
             )
-            cell = _cell(fed, ws, sr=sr, eps=eps, delta=delta, seed=seed + n)
+            cell = _cell(fed, ws, sr=sr, eps=_EPS_FIXED, delta=_DELTA, seed=seed + n)
             rows.append({"n_dims": n, "agg": agg, **cell})
     return rows
 
@@ -94,20 +96,19 @@ def sampling_rate_sweep(
     rates: list[float],
     m: int,
     n_dims: int = 4,
-    eps: float = 1.0,
-    delta: float = 1e-3,
     seed: int = 0,
-    min_width_frac: float = 0.3,
 ) -> list[dict]:
     """Fig 5: error/speed-up vs sampling rate (fixed n=4 dims)."""
     rows = []
     for agg in (COUNT, SUM):
         ws = qualifying_workload(
             dims, fed.providers, m=m, n_dims=n_dims, agg=agg, seed=seed,
-            min_width_frac=min_width_frac,
+            min_width_frac=_MIN_WIDTH_FRAC,
         )
         for sr in rates:
-            cell = _cell(fed, ws, sr=sr, eps=eps, delta=delta, seed=seed + int(sr * 100))
+            cell = _cell(
+                fed, ws, sr=sr, eps=_EPS_FIXED, delta=_DELTA, seed=seed + int(sr * 100)
+            )
             rows.append({"sr": sr, "agg": agg, **cell})
     return rows
 
@@ -120,19 +121,17 @@ def epsilon_sweep(
     m: int,
     sr: float,
     n_dims: int = 4,
-    delta: float = 1e-3,
     seed: int = 0,
-    min_width_frac: float = 0.3,
 ) -> list[dict]:
     """Fig 6 (+ Fig 7 ε axis): error/speed-up vs privacy budget ε."""
     rows = []
     for agg in (COUNT, SUM):
         ws = qualifying_workload(
             dims, fed.providers, m=m, n_dims=n_dims, agg=agg, seed=seed,
-            min_width_frac=min_width_frac,
+            min_width_frac=_MIN_WIDTH_FRAC,
         )
         for eps in eps_list:
-            cell = _cell(fed, ws, sr=sr, eps=eps, delta=delta, seed=seed + int(eps * 10))
+            cell = _cell(fed, ws, sr=sr, eps=eps, delta=_DELTA, seed=seed + int(eps * 10))
             rows.append({"eps": eps, "agg": agg, **cell})
     return rows
 
@@ -144,8 +143,6 @@ def smc_comparison(
     n_queries: int = 5,
     reps: int = 5,
     sr: float = 0.1,
-    eps: float = 1.0,
-    delta: float = 1e-3,
     seed: int = 0,
 ) -> list[dict]:
     """Fig 8: per-query Laplace noise range and speed-up, with/without SMC
@@ -163,8 +160,8 @@ def smc_comparison(
                 ans = fed.aggregator.answer(
                     q,
                     sampling_rate=sr,
-                    eps=eps,
-                    delta=delta,
+                    eps=_EPS_FIXED,
+                    delta=_DELTA,
                     rng=rng,
                     use_smc=(mode == "SMC"),
                 )
@@ -218,8 +215,6 @@ def attack_table(
     spec: AttackSpec,
     *,
     xi_list: list[float],
-    psi: float = 1e-6,
-    sr: float = 0.1,
     modes: tuple[str, ...] = ("sequential", "advanced", "coalition"),
     aggs: tuple[str, ...] = (COUNT, SUM),
     seed: int = 0,
@@ -242,12 +237,12 @@ def attack_table(
         for agg in aggs:
             accs = {}
             for xi in xi_list:
-                eps, delta = per_query_eps(mode, xi, nq, psi)
+                eps, delta = per_query_eps(mode, xi, nq, _PSI)
                 rng = np.random.default_rng(seed)
 
                 def answer(q: RangeQuery) -> float:
                     return mirror.aggregator.answer(
-                        q, sampling_rate=sr, eps=eps, delta=delta, rng=rng
+                        q, sampling_rate=_ATTACK_SR, eps=eps, delta=delta, rng=rng
                     ).value
 
                 nbc = train_nbc(spec, answer, agg=agg)
@@ -391,10 +386,10 @@ ARTIFACTS: dict[str, Artifact] = {
     # collapses it.
     "table1": Artifact("table1_attack", [
         Table(_ATTACK_COLS, [Call(attack_table, "adult_attack", dict(
-            spec=SPEC_PAPER, xi_list=XI, psi=1e-6, sr=0.1, seed=90,
+            spec=SPEC_PAPER, xi_list=XI, seed=90,
         ))], title="Primary (paper regime, SA=fnlwgt):"),
         Table(_ATTACK_COLS, [Call(attack_table, "adult_attack", dict(
-            spec=SPEC_CORRELATED, xi_list=XI, psi=1e-6, sr=0.1, seed=91,
+            spec=SPEC_CORRELATED, xi_list=XI, seed=91,
             modes=("sequential", "coalition"), aggs=(COUNT,),
         ))], title="Supplementary (correlated SA=capgain):"),
     ]),

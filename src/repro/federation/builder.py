@@ -76,20 +76,23 @@ def build_federation(
     provider's rows (the paper uses 1% for Adult, 0.5% for Amazon Review).
     Each provider is persisted as a partitioned parquet :class:`ClusterStore`
     under ``store_root``, so approximate queries do pruned I/O. Rows are
-    partitioned and clustered in the order of the first dimension, ``dims[0]``.
+    partitioned and clustered in the order of the first dimension, ``dims[0]``:
+    each provider holds a contiguous slice of that (jittered) order. The only
+    ``partition_mode`` is ``"contiguous"``; every provider must hold a row.
     """
+    if partition_mode != "contiguous":
+        raise ValueError(f"unknown partition mode: {partition_mode}")
+    if not 1 <= n_providers <= len(tensor):
+        raise ValueError(
+            f"n_providers must be between 1 and the tensor's {len(tensor)} rows, "
+            f"got {n_providers}"
+        )
     sort_dim = dims[0]
-    parts = partition_providers(
-        tensor,
-        n_providers=n_providers,
-        mode=partition_mode,
-        seed=seed,
-        sort_dim=sort_dim if partition_mode == "contiguous" else None,
-    )
+    parts = partition_providers(tensor, n_providers=n_providers, sort_dim=sort_dim, seed=seed)
     S = max(2, int(round(cluster_frac * len(parts[0]))))
     local_frames = [
-        assign_clusters(part, cluster_size=S, sort_dim=sort_dim, seed=seed + i)
-        for i, part in enumerate(parts)
+        assign_clusters(tensor.iloc[rows], cluster_size=S, sort_dim=sort_dim, seed=seed + i)
+        for i, rows in enumerate(parts)
     ]
 
     def build_provider(i: int) -> DataProvider:

@@ -16,7 +16,7 @@ the experiments, the privacy argument for max is the paper's, not ours.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -42,7 +42,7 @@ class SMCEnvironment:
 
     n_parties: int
     rng: np.random.Generator
-    simulated_seconds: float = 0.0
+    simulated_seconds: float = field(default=0.0, init=False)
 
     def _charge(self, seconds: float) -> None:
         self.simulated_seconds += seconds

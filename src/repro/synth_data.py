@@ -1,6 +1,7 @@
 """Synthetic count tensors at a configurable scale factor.
 
-Tests use SF<=0.01; benchmarks use SF~=0.1. Generators are deterministic in
+Tests use SF<=0.01; the paper artifacts use SF 0.01 to 1 (see
+``repro.experiments.FEDERATIONS``). Generators are deterministic in
 ``seed`` so the DuckDB oracle sees identical input.
 """
 import numpy as np
@@ -100,6 +101,15 @@ def amazon_tensor(*, sf: float = 0.01, seed: int = 11) -> pd.DataFrame:
     return pdf
 
 
+def _jittered_order(values: np.ndarray, jitter: float, seed: int) -> np.ndarray:
+    """Row positions sorted by ``values`` plus Gaussian jitter of ``jitter``
+    times their span (stable, so equal keys keep their order)."""
+    g = _rng(seed)
+    span = max(1.0, float(values.max() - values.min()))
+    key = values + g.normal(0, jitter * span, len(values))
+    return np.argsort(key, kind="stable")
+
+
 def assign_clusters(
     pdf: pd.DataFrame,
     *,
@@ -114,43 +124,25 @@ def assign_clusters(
     Gaussian jitter (15% of the domain span) and chunk into clusters
     of ``cluster_size`` rows, yielding the skewed per-cluster proportions
     that make distribution-aware (PPS) sampling beat uniform sampling.
+    The result is the one copy of ``pdf``'s rows, in cluster order.
     """
-    g = _rng(seed)
-    span = max(1.0, float(pdf[sort_dim].max() - pdf[sort_dim].min()))
-    key = pdf[sort_dim].to_numpy() + g.normal(0, 0.15 * span, len(pdf))
-    order = np.argsort(key, kind="stable")
-    out = pdf.iloc[order].reset_index(drop=True).copy()
+    out = pdf.take(_jittered_order(pdf[sort_dim].to_numpy(), 0.15, seed))
+    out.index = pd.RangeIndex(len(out))
     out["cluster_id"] = (np.arange(len(out)) // cluster_size).astype("int64")
     return out
 
 
 def partition_providers(
-    pdf: pd.DataFrame,
-    *,
-    n_providers: int,
-    mode: str = "contiguous",
-    seed: int = 0,
-    sort_dim: str | None = None,
-) -> list[pd.DataFrame]:
-    """Horizontally partition a tensor into equal-size provider tables.
+    pdf: pd.DataFrame, *, n_providers: int, sort_dim: str, seed: int = 0
+) -> list[np.ndarray]:
+    """Horizontally partition a tensor into equal-size provider tables,
+    returned as each provider's row positions into ``pdf``.
 
-    ``contiguous`` with a ``sort_dim`` orders rows by that dimension plus
-    Gaussian jitter (half its span) before chunking, so providers hold
-    overlapping but distinct slices of the value space — the cross-provider
-    skew the allocation phase (Eq 6) is designed to exploit. ``random``
-    shuffles rows first (providers become statistically identical).
+    Rows are ordered by ``sort_dim`` plus Gaussian jitter (half its span)
+    before chunking, so providers hold overlapping but distinct slices of
+    the value space — the cross-provider skew the allocation phase (Eq 6)
+    is designed to exploit.
     """
-    if mode not in ("contiguous", "random"):
-        raise ValueError(f"unknown partition mode: {mode}")
-    if mode == "random":
-        pdf = pdf.sample(frac=1.0, random_state=seed).reset_index(drop=True)
-    elif sort_dim is not None:
-        g = _rng(seed)
-        span = max(1.0, float(pdf[sort_dim].max() - pdf[sort_dim].min()))
-        key = pdf[sort_dim].to_numpy() + g.normal(0, 0.5 * span, len(pdf))
-        pdf = pdf.iloc[np.argsort(key, kind="stable")].reset_index(drop=True)
+    order = _jittered_order(pdf[sort_dim].to_numpy(), 0.5, seed)
     bounds = np.linspace(0, len(pdf), n_providers + 1).astype(int)
-    return [
-        pdf.iloc[bounds[i] : bounds[i + 1]].reset_index(drop=True)
-        for i in range(n_providers)
-    ]
+    return [order[bounds[i] : bounds[i + 1]] for i in range(n_providers)]

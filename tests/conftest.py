@@ -1,9 +1,10 @@
 """Shared fixtures: small deterministic federations built once per session.
 
 Scale: SF chosen so each dataset is ~8k tensor rows (unit-test scale per the
-repo conventions); the benchmark suite rebuilds at SF=0.1. Each provider is
-a parquet cluster store under a session temp directory, the same data path
-as every paper artifact.
+repo conventions); the benchmark suite builds the registry's federations
+(``repro.experiments.FEDERATIONS``, SF 0.01 to 1). Each provider is a parquet
+cluster store under a session temp directory, the same data path as every
+paper artifact.
 """
 from __future__ import annotations
 
